@@ -1,7 +1,6 @@
 """noonchip: simulator of a two-source photonic chip generating a two-photon
 path-entangled state and interfering it in a programmable Mach-Zehnder
-interferometer, with lossy detection, time-tag Monte Carlo, and an HTTP/CLI
-front end."""
+interferometer, with lossy detection and time-tag Monte Carlo."""
 
 __version__ = "0.1.0"
 

@@ -246,6 +246,13 @@ class VisibilityFit:
 FLATNESS_EPS = 1e-14
 
 
+def _fringe_design(phases: np.ndarray, frequency: float) -> np.ndarray:
+    """Least-squares design matrix [1, cos(f*phi), sin(f*phi)] of the fringe model."""
+    return np.column_stack(
+        [np.ones_like(phases), np.cos(frequency * phases), np.sin(frequency * phases)]
+    )
+
+
 def fit_fringe(phases, values, frequency: float) -> VisibilityFit:
     """Least-squares fit of offset + amplitude*cos(frequency*phi + phase).
 
@@ -266,10 +273,7 @@ def fit_fringe(phases, values, frequency: float) -> VisibilityFit:
     if np.ptp(values) <= FLATNESS_EPS * max(1.0, np.abs(values).max()):
         return VisibilityFit(0.0, float(values.mean()), 0.0, 0.0, flat=True)
 
-    design = np.column_stack(
-        [np.ones_like(phases), np.cos(frequency * phases), np.sin(frequency * phases)]
-    )
-    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(_fringe_design(phases, frequency), values, rcond=None)
     offset, a, b = coeffs
     amplitude = math.hypot(a, b)
     phase = math.atan2(-b, a)

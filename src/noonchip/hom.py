@@ -12,6 +12,14 @@ oscillation rate relative to a single-photon wavepacket model (cos(2*W*tau)
 rather than cos(W*tau)), which halves the dip width for a given bandwidth;
 dip-width/bandwidth conversions here assume that CW-pair kernel.  V0 folds
 in all non-spectral distinguishability and is an input, not derived.
+
+Both supported intensity shapes have exact cosine transforms.  With W the
+intensity FWHM in rad/fs and x_half the root of (sin x / x)^2 = 1/2:
+
+    gaussian: g = exp(-(W*tau)^2 / (4 ln 2)),    dip FWHM 4 ln 2 / W
+    sinc2:    g = max(0, 1 - |tau| / a),         dip FWHM a = 2 x_half / W
+
+so the envelope, its width and the width's inverse are all closed forms.
 """
 
 from __future__ import annotations
@@ -20,10 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
-from .sources import SpectrumSpec
+from .sources import _SINC_HALF_X, SpectrumSpec
 
 __all__ = [
     "HomScanSpec",
@@ -32,10 +38,8 @@ __all__ = [
     "bandwidth_from_dip",
 ]
 
-# Quadrature support extends this many intensity FWHMs either side of center.
-_SPAN_FWHM = 5.0
-_BASE_POINTS = 8001
-_POINTS_PER_OSCILLATION = 64
+# Dip FWHM (fs) times the intensity FWHM W (rad/fs), per spectral shape.
+_DIP_FWHM_TIMES_W = {"gaussian": 4.0 * math.log(2.0), "sinc2": 2.0 * _SINC_HALF_X}
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,8 @@ class HomScanSpec:
     baseline_visibility: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.delay_min_fs, self.delay_max_fs, self.delay_step_fs))):
+            raise ValueError("delay range and step must be finite")
         if self.delay_step_fs <= 0:
             raise ValueError("delay step must be > 0")
         if self.delay_max_fs <= self.delay_min_fs:
@@ -61,26 +67,24 @@ class HomScanSpec:
         return self.delay_min_fs + self.delay_step_fs * np.arange(n)
 
 
-def _overlap_envelope(tau_fs: np.ndarray, spectrum: SpectrumSpec) -> np.ndarray:
-    """g(tau): normalized cosine transform of the intensity spectrum."""
-    tau_fs = np.atleast_1d(np.asarray(tau_fs, dtype=float))
+def _overlap_envelope(tau_fs, spectrum: SpectrumSpec) -> np.ndarray:
+    """g(tau): normalized cosine transform of the intensity spectrum, in closed form."""
+    tau_fs = np.abs(np.atleast_1d(np.asarray(tau_fs, dtype=float)))
+    if np.isnan(tau_fs).any():
+        raise ValueError("delay must not be NaN")
     width = spectrum.fwhm_angular_freq
-    span = _SPAN_FWHM * width
-    # Resolve the fastest oscillation cos(2*W*tau) on the grid.
-    max_tau = float(np.abs(tau_fs).max())
-    oscillations = span * 2.0 * max_tau / math.pi
-    n = max(_BASE_POINTS, int(_POINTS_PER_OSCILLATION * oscillations) | 1)
-    grid = np.linspace(-span, span, n)
-    intensity = spectrum.intensity(grid)
-    norm = simpson(intensity, x=grid)
-    kernel = np.cos(2.0 * np.outer(tau_fs, grid))
-    return simpson(intensity * kernel, x=grid, axis=1) / norm
+    if spectrum.shape == "gaussian":
+        return np.exp(-((width * tau_fs) ** 2) / (4.0 * math.log(2.0)))
+    a = _DIP_FWHM_TIMES_W["sinc2"] / width
+    return np.maximum(0.0, 1.0 - tau_fs / a)
 
 
 def hom_coincidence(tau_fs, spec: HomScanSpec):
     """Normalized cross-coincidence probability at relative delay tau (fs).
 
     1/2 at large delay (distinguishable limit), (1 - V0)/2 at zero delay.
+    g(tau) is the closed-form envelope of the module docstring: a Gaussian,
+    or for sinc2 a triangle that reaches 0 at |tau| = 2 x_half / W.
     """
     g = _overlap_envelope(tau_fs, spec.spectrum)
     p = 0.5 * (1.0 - spec.baseline_visibility * g)
@@ -90,52 +94,25 @@ def hom_coincidence(tau_fs, spec: HomScanSpec):
 
 
 def dip_fwhm(spec: HomScanSpec) -> float:
-    """Full width (fs) of the dip at half its depth.
+    """Full width (fs) of the dip at half its depth: 4 ln 2 / W or 2 x_half / W.
 
     Half depth corresponds to g(tau) = 1/2 independent of the baseline
-    visibility, so the width probes only the spectrum.  Found by bisection
-    on the quadrature-evaluated envelope.
+    visibility, so the width probes only the spectrum.
     """
     if spec.baseline_visibility == 0:
         raise ValueError("baseline visibility is 0: no dip to measure")
-
-    def half_crossing(tau):
-        return float(_overlap_envelope(np.array([tau]), spec.spectrum)[0]) - 0.5
-
-    # Bracket the first crossing; the envelope starts at 1 and decays on a
-    # time scale ~ 1/bandwidth.
-    scale = 1.0 / spec.spectrum.fwhm_angular_freq
-    hi = scale
-    while half_crossing(hi) > 0:
-        hi *= 2.0
-        if hi > 1e7 * scale:
-            raise RuntimeError("failed to bracket the dip half-width")
-    tau_half = brentq(half_crossing, 0.0, hi, xtol=1e-12 * scale, rtol=8.9e-16)
-    return 2.0 * tau_half
+    return _DIP_FWHM_TIMES_W[spec.spectrum.shape] / spec.spectrum.fwhm_angular_freq
 
 
 def bandwidth_from_dip(width_fs: float, shape: str = "gaussian", center_nm: float = 1562.0) -> float:
     """Invert dip_fwhm: spectral FWHM (nm) producing the given dip width.
 
-    Uses the same CW-pair kernel as dip_fwhm, so the two functions
-    round-trip.  Wider dips correspond to narrower spectra.
+    The dip width is inversely proportional to the spectral FWHM, so the
+    bandwidth is the width of a 1 nm spectrum divided by width_fs; the two
+    functions round-trip to rounding error.  Wider dips correspond to
+    narrower spectra.
     """
-    if width_fs <= 0:
-        raise ValueError("dip width must be > 0")
-
-    def width_of(bandwidth_nm: float) -> float:
-        s = SpectrumSpec(center_nm=center_nm, fwhm_nm=bandwidth_nm, shape=shape)
-        return dip_fwhm(HomScanSpec(spectrum=s))
-
-    # Gaussian closed form as the starting guess: width = 4 ln 2 / dOmega.
-    guess_domega = 4.0 * math.log(2.0) / width_fs
-    guess_nm = guess_domega * center_nm**2 / (2.0 * math.pi * 299.792458)
-    lo, hi = guess_nm / 4.0, guess_nm * 4.0
-    f_lo, f_hi = width_of(lo) - width_fs, width_of(hi) - width_fs
-    while f_lo < 0:  # lo too wide a spectrum -> dip narrower than target
-        lo /= 4.0
-        f_lo = width_of(lo) - width_fs
-    while f_hi > 0:
-        hi *= 4.0
-        f_hi = width_of(hi) - width_fs
-    return brentq(lambda bw: width_of(bw) - width_fs, lo, hi, rtol=1e-8)
+    if not (math.isfinite(width_fs) and width_fs > 0):
+        raise ValueError("dip width must be finite and > 0")
+    unit = SpectrumSpec(center_nm=center_nm, fwhm_nm=1.0, shape=shape)
+    return dip_fwhm(HomScanSpec(spectrum=unit)) / width_fs

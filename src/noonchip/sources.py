@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .fock import DensityMatrix, PureState, enumerate_basis
 
@@ -29,7 +28,6 @@ __all__ = [
     "spectral_overlap",
     "pair_rate",
     "qpm_response",
-    "qpm_fwhm_dkl",
     "qpm_bandwidth_nm",
 ]
 
@@ -41,8 +39,11 @@ SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 # Root of (sin x / x)^2 = 1/2; fixes the sinc^2 width normalization.
 _SINC_HALF_X = 1.39155737825151
 
-# Full width at half maximum of sinc^2(x/2) in x = dk*L, i.e. 4 * _SINC_HALF_X.
-QPM_FWHM_DKL = 5.56622951300604
+# Full width at half maximum of sinc^2(x/2) in x = dk*L.
+QPM_FWHM_DKL = 4.0 * _SINC_HALF_X
+
+# Samples of the shared grid on which spectral_overlap integrates.
+_OVERLAP_GRID_POINTS = 20001
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,10 @@ class SpectrumSpec:
     shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.center_nm <= 0:
-            raise ValueError("center wavelength must be > 0")
-        if self.fwhm_nm <= 0:
-            raise ValueError("bandwidth must be > 0")
+        if not (math.isfinite(self.center_nm) and self.center_nm > 0):
+            raise ValueError("center wavelength must be finite and > 0")
+        if not (math.isfinite(self.fwhm_nm) and self.fwhm_nm > 0):
+            raise ValueError("bandwidth must be finite and > 0")
         if self.shape not in ("gaussian", "sinc2"):
             raise ValueError("shape must be 'gaussian' or 'sinc2'")
 
@@ -156,10 +157,10 @@ def noon_mixed(balance: float, phase: float, purity: float) -> DensityMatrix:
     return DensityMatrix(TWO_PHOTON_BASIS, rho)
 
 
-def spectral_overlap(s1: SpectrumSpec, s2: SpectrumSpec, grid_points: int = 20001) -> float:
+def spectral_overlap(s1: SpectrumSpec, s2: SpectrumSpec) -> float:
     """|integral f1(w) f2(w) dw|^2 for unit-normalized spectral amplitudes.
 
-    Evaluated by Simpson quadrature on a shared grid spanning 5 FWHM beyond
+    Evaluated by the trapezoid rule on a shared grid spanning 5 FWHM beyond
     both spectra; symmetric in its arguments.  Equals the purity parameter
     of the mixed two-photon state when the two sources differ only
     spectrally.
@@ -167,13 +168,13 @@ def spectral_overlap(s1: SpectrumSpec, s2: SpectrumSpec, grid_points: int = 2000
     w1, w2 = s1.center_angular_freq, s2.center_angular_freq
     span = 5.0 * max(s1.fwhm_angular_freq, s2.fwhm_angular_freq)
     lo, hi = min(w1, w2) - span, max(w1, w2) + span
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _OVERLAP_GRID_POINTS)
     i1 = s1.intensity(grid - w1)
     i2 = s2.intensity(grid - w2)
     f1 = np.sqrt(i1)
     f2 = np.sqrt(i2)
-    num = simpson(f1 * f2, x=grid) ** 2
-    den = simpson(i1, x=grid) * simpson(i2, x=grid)
+    num = np.trapezoid(f1 * f2, x=grid) ** 2
+    den = np.trapezoid(i1, x=grid) * np.trapezoid(i2, x=grid)
     return float(num / den)
 
 
@@ -190,11 +191,6 @@ def qpm_response(dkl: float | np.ndarray):
     x = np.asarray(dkl, dtype=float) / 2.0
     out = np.sinc(x / math.pi) ** 2
     return float(out) if out.ndim == 0 else out
-
-
-def qpm_fwhm_dkl() -> float:
-    """FWHM of qpm_response in the dimensionless variable dk*L."""
-    return QPM_FWHM_DKL
 
 
 def qpm_bandwidth_nm(dkl_slope_per_nm: float) -> float:

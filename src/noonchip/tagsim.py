@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .detection import (
     DETECTION_PATTERNS,
     SPLITTER_TREE_DETECTION,
     VisibilityFit,
+    _fringe_design,
     fit_fringe,
     invert_splitter_tree,
 )
@@ -193,7 +194,7 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
     return TagStream(channels[order], timestamps[order], cfg.duration_s)
 
 
-def _match_sorted(a: list[int], b: list[int], half_width: float) -> int:
+def _greedy_walk(a: list[int], b: list[int], half_width: float) -> int:
     """Greedy nearest-match pairing of two sorted timestamp lists.
 
     Walks both lists once in time order; a candidate pairing defers to the
@@ -219,6 +220,30 @@ def _match_sorted(a: list[int], b: list[int], half_width: float) -> int:
         matched += 1
         i += 1
         j += 1
+    return matched
+
+
+def _match_sorted(a: np.ndarray, b: np.ndarray, half_width: float) -> int:
+    """_greedy_walk(a, b, half_width) on sorted timestamp arrays, in numpy.
+
+    No tag can match, or make the walk defer to, a tag more than half_width
+    away, so the walk splits at every wider gap of the merged stream.  A
+    two-tag cluster is one coincidence when its tags are on different
+    channels; only larger clusters are walked.
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    pos = np.searchsorted(a, b, side="right") + np.arange(len(b))
+    is_b = np.zeros(len(a) + len(b), dtype=bool)
+    is_b[pos] = True
+    merged = np.empty(len(is_b), dtype=np.int64)
+    merged[pos], merged[~is_b] = b, a
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(merged) > half_width) + 1))
+    sizes = np.diff(starts, append=len(merged))
+    two = starts[sizes == 2]
+    matched = int(np.count_nonzero(is_b[two] != is_b[two + 1]))
+    for s, e in zip(starts[sizes > 2].tolist(), (starts + sizes)[sizes > 2].tolist()):
+        t, side = merged[s:e], is_b[s:e]
+        matched += _greedy_walk(t[~side].tolist(), t[side].tolist(), half_width)
     return matched
 
 
@@ -252,13 +277,13 @@ class CoincidenceResult:
 def count_coincidences(stream: TagStream, window_ps: float, pairs) -> CoincidenceResult:
     """Count coincidences where two channels click within +/- window/2.
 
-    Single pass per channel pair over the sorted stream (constant auxiliary
-    memory); each tag is consumed at most once per pair.
+    Greedy nearest-match pairing per channel pair (see _greedy_walk); each
+    tag is consumed at most once per pair.
     """
     if window_ps <= 0:
         raise ValueError("window must be > 0")
     singles = stream.singles()
-    per_channel = {c: stream.channel_timestamps(c).tolist() for c in stream.channel_ids}
+    per_channel = {c: stream.channel_timestamps(c) for c in stream.channel_ids}
     half = window_ps / 2.0
     pair_counts: dict[tuple[int, int], int] = {}
     pair_acc: dict[tuple[int, int], float] = {}
@@ -307,10 +332,7 @@ class FringeEstimate:
 
 def _visibility_sigma(phases, sigmas, frequency, fit: VisibilityFit) -> float:
     """1-sigma error on amplitude/offset by linear propagation through the fit."""
-    design = np.column_stack(
-        [np.ones_like(phases), np.cos(frequency * phases), np.sin(frequency * phases)]
-    )
-    pinv = np.linalg.pinv(design)
+    pinv = np.linalg.pinv(_fringe_design(phases, frequency))
     cov = pinv @ np.diag(np.asarray(sigmas) ** 2) @ pinv.T
     c = fit.offset
     if c <= 0:

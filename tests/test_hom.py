@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import quad, simpson
+from scipy.optimize import brentq
 
 from noonchip.circuit import coupler_unitary
 from noonchip.detection import pattern_probs
@@ -11,6 +14,8 @@ from noonchip.hom import HomScanSpec, bandwidth_from_dip, dip_fwhm, hom_coincide
 from noonchip.sources import SpectrumSpec, noon_mixed, spectral_overlap
 
 GAUSS_50NM = SpectrumSpec(center_nm=1562.0, fwhm_nm=50.0, shape="gaussian")
+SINC2_50NM = SpectrumSpec(center_nm=1562.0, fwhm_nm=50.0, shape="sinc2")
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def gaussian_dip_fwhm_oracle(spectrum):
@@ -25,6 +30,16 @@ def quadrature_envelope_oracle(tau_fs, spectrum, n=200001, span_fwhm=8.0):
     grid = np.linspace(-span_fwhm * w, span_fwhm * w, n)
     intensity = spectrum.intensity(grid)
     return simpson(intensity * np.cos(2 * grid * tau_fs), x=grid) / simpson(intensity, x=grid)
+
+
+def untruncated_envelope_oracle(tau_fs, spectrum):
+    # QUADPACK over [0, inf): QAWF for the cosine transform, so the slowly
+    # decaying sinc^2 tails are integrated rather than cut off.
+    def intensity(w):
+        return float(spectrum.intensity(np.array(w)))
+
+    norm = quad(intensity, 0.0, math.inf, limit=1000)[0]
+    return quad(intensity, 0.0, math.inf, weight="cos", wvar=2.0 * tau_fs)[0] / norm
 
 
 class TestHomCoincidence:
@@ -65,6 +80,20 @@ class TestHomCoincidence:
             oracle = 0.5 * (1 - 0.7 * quadrature_envelope_oracle(tau, GAUSS_50NM))
             assert hom_coincidence(tau, spec) == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("tau", [math.nan, np.array([0.0, math.nan])])
+    def test_nan_delay_rejected(self, tau):
+        with pytest.raises(ValueError):
+            hom_coincidence(tau, HomScanSpec(spectrum=GAUSS_50NM))
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_sinc2_matches_untruncated_quadrature(self):
+        # Delays either side of the triangle's half point (36 fs) and its
+        # edge (72 fs); QAWF converges slowly right at the edge's kink.
+        spec = HomScanSpec(spectrum=SINC2_50NM, baseline_visibility=1.0)
+        for tau in (0.5, 5.0, 20.0, 36.0, 50.0, 65.0, 90.0, 200.0):
+            g = 1.0 - 2.0 * hom_coincidence(tau, spec)
+            assert g == pytest.approx(untruncated_envelope_oracle(tau, SINC2_50NM), abs=1e-4)
+
 
 class TestDipWidth:
     def test_gaussian_width_matches_closed_form(self):
@@ -93,6 +122,13 @@ class TestDipWidth:
         w = dip_fwhm(HomScanSpec(spectrum=SpectrumSpec(1562.0, 50.0, "sinc2")))
         assert w > 0
 
+    def test_sinc2_width_matches_half_point(self):
+        # The triangle envelope 1 - |tau|/a halves at a/2, and a = 2 x_half / W
+        # with x_half the root of (sin x / x)^2 = 1/2.
+        x_half = brentq(lambda x: (math.sin(x) / x) ** 2 - 0.5, 1.0, 2.0, xtol=1e-15)
+        expected = 2.0 * x_half / SINC2_50NM.fwhm_angular_freq
+        assert dip_fwhm(HomScanSpec(spectrum=SINC2_50NM)) == pytest.approx(expected, rel=1e-12)
+
 
 class TestBandwidthInversion:
     @pytest.mark.parametrize("shape", ["gaussian", "sinc2"])
@@ -111,9 +147,31 @@ class TestBandwidthInversion:
         bands = [bandwidth_from_dip(w) for w in widths]
         assert all(b2 < b1 for b1, b2 in zip(bands, bands[1:]))
 
+    @given(
+        shape=st.sampled_from(["gaussian", "sinc2"]),
+        center_nm=st.floats(400.0, 5000.0),
+        fwhm_nm=st.floats(0.01, 300.0),
+    )
+    def test_exact_inverse_of_dip_fwhm(self, shape, center_nm, fwhm_nm):
+        width = dip_fwhm(HomScanSpec(spectrum=SpectrumSpec(center_nm, fwhm_nm, shape)))
+        assert bandwidth_from_dip(width, shape, center_nm) == pytest.approx(fwhm_nm, rel=1e-12)
+
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             bandwidth_from_dip(0.0)
+
+    @pytest.mark.parametrize("width", NON_FINITE)
+    def test_non_finite_width(self, width):
+        with pytest.raises(ValueError):
+            bandwidth_from_dip(width)
+
+
+class TestScanSpec:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["delay_min_fs", "delay_max_fs", "delay_step_fs"])
+    def test_non_finite_delay_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            HomScanSpec(**{name: value})
 
 
 class TestFockConsistency:

@@ -8,6 +8,7 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from noonchip.sources import (
+    QPM_FWHM_DKL,
     NoonSpec,
     SourceRateSpec,
     SpectrumSpec,
@@ -15,10 +16,18 @@ from noonchip.sources import (
     noon_pure,
     pair_rate,
     qpm_bandwidth_nm,
-    qpm_fwhm_dkl,
     qpm_response,
     spectral_overlap,
 )
+
+
+def simpson_overlap_oracle(s1, s2):
+    # spectral_overlap's own 5-FWHM grid, integrated by Simpson's rule.
+    w1, w2 = s1.center_angular_freq, s2.center_angular_freq
+    span = 5.0 * max(s1.fwhm_angular_freq, s2.fwhm_angular_freq)
+    grid = np.linspace(min(w1, w2) - span, max(w1, w2) + span, 20001)
+    i1, i2 = s1.intensity(grid - w1), s2.intensity(grid - w2)
+    return simpson(np.sqrt(i1 * i2), x=grid) ** 2 / (simpson(i1, x=grid) * simpson(i2, x=grid))
 
 
 class TestNoonPure:
@@ -102,12 +111,19 @@ class TestSpectralOverlap:
         s1 = SpectrumSpec(1550.0, 40.0)
         s2 = SpectrumSpec(1570.0, 60.0, "sinc2")
         assert spectral_overlap(s1, s2) == pytest.approx(spectral_overlap(s2, s1), abs=1e-12)
+        assert spectral_overlap(s1, s2) == pytest.approx(simpson_overlap_oracle(s1, s2), abs=1e-8)
 
     def test_invalid_spectrum(self):
         with pytest.raises(ValueError):
             SpectrumSpec(1562.0, -1.0)
         with pytest.raises(ValueError):
             SpectrumSpec(1562.0, 50.0, "lorentzian")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["center_nm", "fwhm_nm"])
+    def test_non_finite_spectrum_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            SpectrumSpec(**{name: value})
 
 
 class TestPairRate:
@@ -137,8 +153,8 @@ class TestQpmResponse:
     def test_fwhm_constant(self):
         # Independent root find of sinc^2(x/2) = 1/2.
         half = brentq(lambda x: (math.sin(x / 2) / (x / 2)) ** 2 - 0.5, 1.0, 4.0, xtol=1e-14)
-        assert qpm_fwhm_dkl() == pytest.approx(2 * half, abs=1e-9)
-        assert qpm_fwhm_dkl() == pytest.approx(5.566, abs=1e-3)
+        assert QPM_FWHM_DKL == pytest.approx(2 * half, abs=1e-9)
+        assert QPM_FWHM_DKL == pytest.approx(5.566, abs=1e-3)
         assert qpm_response(half) == pytest.approx(0.5, abs=1e-12)
 
     @given(st.floats(-50.0, 50.0))

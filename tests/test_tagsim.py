@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noonchip.circuit import mzi_unitary
 from noonchip.detection import pattern_probs, splitter_tree_click_probs
@@ -12,6 +14,8 @@ from noonchip.tagsim import (
     CoincidenceResult,
     TagSimConfig,
     TagStream,
+    _greedy_walk,
+    _match_sorted,
     count_coincidences,
     count_pattern_coincidences,
     fringe_from_tags,
@@ -128,6 +132,30 @@ class TestCountCoincidences:
         )
         res = count_coincidences(stream, window_ps=50.0, pairs=[(0, 1)])
         assert res.pair_counts[(0, 1)] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 60), max_size=40),
+        st.lists(st.integers(0, 60), max_size=40),
+        st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 10.0, 100.0]),
+    )
+    def test_matcher_equals_greedy_walk(self, a, b, half_width):
+        # Dense small-integer stamps give ties, chains and flanking tags.
+        a, b = sorted(a), sorted(b)
+        want = _greedy_walk(a, b, half_width)
+        assert _match_sorted(np.array(a, np.int64), np.array(b, np.int64), half_width) == want
+
+    def test_matcher_equals_greedy_walk_on_noisy_streams(self):
+        cfg = config(
+            pair_rate_hz=2e5, pattern_probs=(0.3, 0.4, 0.3), duration_s=0.05,
+            dark_rate_hz=2e5, jitter_sigma_ps=300.0,
+        )
+        stream = generate_tags(cfg)
+        for window in (10.0, 1000.0, 1e5):
+            for c1, c2 in STANDARD_PAIRS + ((1, 1),):
+                a, b = stream.channel_timestamps(c1), stream.channel_timestamps(c2)
+                want = _greedy_walk(a.tolist(), b.tolist(), window / 2)
+                assert _match_sorted(a, b, window / 2) == want
 
     def test_window_edges(self):
         stream = TagStream(
