@@ -46,6 +46,8 @@ def enumerate_basis(mode_count: int, photon_number: int) -> list[Occupation]:
     """
     if mode_count < 1:
         raise ValueError("mode_count must be >= 1")
+    if not isinstance(photon_number, (int, np.integer)) or isinstance(photon_number, bool):
+        raise ValueError(f"photon_number must be an int, got {photon_number!r}")
     if photon_number < 0:
         raise ValueError("photon_number must be >= 0")
 
@@ -89,40 +91,43 @@ def permanent_naive(a: np.ndarray) -> complex:
     return complex(total)
 
 
-def permanent(a: np.ndarray) -> complex:
+def permanent(a: np.ndarray) -> complex | np.ndarray:
     """Matrix permanent via Ryser's inclusion-exclusion with Gray-code updates.
 
-    Exact in floating point up to roundoff; cost O(2^n · n).  Dimension is
-    capped at 20, far beyond anything the two-photon simulator needs.
+    Takes one square matrix ``(n, n)`` or a stack of them ``(..., n, n)``
+    and walks the column subsets once for the whole stack, so working
+    memory is O(batch · n).  A single matrix gives a Python ``complex``; a
+    stack gives a complex array of shape ``(...)``.  Exact in floating
+    point up to roundoff; cost O(2^n · n) per matrix.  Dimension is capped
+    at 20, far beyond anything the two-photon simulator needs.
     """
-    a = _as_square(a)
-    n = a.shape[0]
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
     if n > 20:
         raise ValueError("permanent supports dimension <= 20")
-    if n == 0:
-        return complex(1.0)
-    if n == 1:
-        return complex(a[0, 0])
 
-    # Gray-code walk over non-empty column subsets; row_sums tracks
-    # sum_{j in S} a[i, j] for the current subset S.
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
+    # Gray-code walk over column subsets; row_sums tracks
+    # sum_{j in S} a[..., i, j] for the current subset S.  The empty subset
+    # contributes prod(0) = 0, or 1 when n = 0.
+    row_sums = np.zeros(a.shape[:-1], dtype=complex)
+    total = np.prod(row_sums, axis=-1)
     gray = 0
     for k in range(1, 1 << n):
         new_gray = k ^ (k >> 1)
         bit = gray ^ new_gray
         j = bit.bit_length() - 1
         if new_gray & bit:
-            row_sums += a[:, j]
+            row_sums += a[..., j]
         else:
-            row_sums -= a[:, j]
+            row_sums -= a[..., j]
         gray = new_gray
         sign = -1.0 if (new_gray.bit_count() & 1) else 1.0
-        total += sign * np.prod(row_sums)
+        total += sign * np.prod(row_sums, axis=-1)
     if n & 1:
         total = -total
-    return complex(total)
+    return complex(total) if total.ndim == 0 else total
 
 
 def _as_square(a: np.ndarray) -> np.ndarray:
@@ -161,6 +166,8 @@ class ModeUnitary:
         u = np.asarray(self.matrix, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"mode unitary must be square, got shape {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("mode unitary entries must be finite")
         dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
         if dev > UNITARY_ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
@@ -190,6 +197,8 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if len(amps) != len(basis):
             raise ValueError("amplitude vector length must match basis size")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm^2 = {norm} is not 1 within {NORM_ATOL}")
@@ -228,6 +237,8 @@ class DensityMatrix:
         d = len(basis)
         if rho.shape != (d, d):
             raise ValueError(f"matrix shape {rho.shape} does not match basis size {d}")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(rho - rho.conj().T)) > NORM_ATOL:
             raise ValueError("density matrix must be Hermitian")
         tr = float(np.real(np.trace(rho)))
@@ -255,38 +266,19 @@ def lift_unitary(u: ModeUnitary, photon_number: int) -> np.ndarray:
     """Lift a mode unitary to the N-photon Fock sector.
 
     Entry (T, S) is Per(M) / sqrt(prod s_i! prod t_j!), where M is built
-    from U by repeating row k t_k times and column j s_j times.  The result
-    is unitary over enumerate_basis(m, N).
+    from U by repeating row k t_k times and column j s_j times.  All d²
+    submatrices are stacked and their permanents come from one Ryser walk.
+    The result is unitary over enumerate_basis(m, N).
     """
-    if photon_number < 0:
-        raise ValueError("photon_number must be >= 0")
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
     m = u.mode_count
     basis = enumerate_basis(m, photon_number)
-    d = len(basis)
-    norms = np.array([math.sqrt(_occ_factorial(occ)) for occ in basis])
-    cols = [_repeat_indices(occ) for occ in basis]
-    lifted = np.empty((d, d), dtype=complex)
-    for si, s_idx in enumerate(cols):
-        sub = u.matrix[:, s_idx]
-        for ti, t_idx in enumerate(cols):
-            lifted[ti, si] = permanent(sub[t_idx, :]) / (norms[ti] * norms[si])
-    return lifted
-
-
-def _occ_factorial(occ: Occupation) -> int:
-    out = 1
-    for n in occ:
-        out *= math.factorial(n)
-    return out
-
-
-def _repeat_indices(occ: Occupation) -> list[int]:
-    idx: list[int] = []
-    for mode, n in enumerate(occ):
-        idx.extend([mode] * n)
-    return idx
+    # idx[b] lists mode k occ_k times for basis state b: shape (d, N).
+    idx = np.array([np.repeat(np.arange(m), occ) for occ in basis])
+    norms = np.sqrt([math.prod(map(math.factorial, occ)) for occ in basis])
+    subs = u.matrix[idx[:, None, :, None], idx[None, :, None, :]]
+    return permanent(subs) / np.outer(norms, norms)
 
 
 def evolve(state, u: ModeUnitary):

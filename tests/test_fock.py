@@ -44,6 +44,24 @@ def two_photon_lift_oracle(u):
     return np.array([[np.vdot(vt, big @ vs) for vs in vecs] for vt in vecs])
 
 
+def lift_oracle(u, n):
+    """Per-entry lift: Per(U[t_idx][:, s_idx]) / sqrt(prod t! prod s!) by permutation sum."""
+    basis = enumerate_basis(u.shape[0], n)
+
+    def modes(occ):
+        return [k for k, c in enumerate(occ) for _ in range(c)]
+
+    def norm(occ):
+        return math.sqrt(math.prod(math.factorial(c) for c in occ))
+
+    return np.array(
+        [
+            [permanent_naive(u[modes(t)][:, modes(s)]) / (norm(t) * norm(s)) for s in basis]
+            for t in basis
+        ]
+    )
+
+
 class TestEnumerateBasis:
     def test_two_modes_two_photons(self):
         assert enumerate_basis(2, 2) == [(2, 0), (1, 1), (0, 2)]
@@ -73,6 +91,16 @@ class TestEnumerateBasis:
             enumerate_basis(0, 1)
         with pytest.raises(ValueError):
             enumerate_basis(2, -1)
+
+    @pytest.mark.parametrize("photon_number", [True, False, 2.0, "2", None])
+    def test_photon_number_must_be_int(self, photon_number):
+        with pytest.raises(ValueError):
+            enumerate_basis(2, photon_number)
+        with pytest.raises(ValueError):
+            lift_unitary(ModeUnitary(np.eye(2)), photon_number)
+
+    def test_numpy_integer_photon_number(self):
+        assert enumerate_basis(2, np.int64(2)) == enumerate_basis(2, 2)
 
 
 class TestPermanent:
@@ -109,6 +137,10 @@ class TestPermanent:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             permanent(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            permanent(np.ones((4, 2, 3)))
+        with pytest.raises(ValueError):
+            permanent(np.ones(3))
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -116,6 +148,16 @@ class TestPermanent:
 
     def test_empty_matrix(self):
         assert permanent(np.zeros((0, 0))) == 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_stack_matches_naive_per_matrix(self, n):
+        rng = np.random.default_rng(300 + n)
+        stack = rng.normal(size=(7, 3, n, n)) + 1j * rng.normal(size=(7, 3, n, n))
+        out = permanent(stack)
+        assert out.shape == (7, 3)
+        expected = np.array([[permanent_naive(a) for a in row] for row in stack])
+        np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
+        assert type(permanent(stack[0, 0])) is complex
 
 
 class TestLiftUnitary:
@@ -139,8 +181,9 @@ class TestLiftUnitary:
         assert abs(abs(column[0]) - 1 / math.sqrt(2)) < 1e-12
         assert abs(abs(column[2]) - 1 / math.sqrt(2)) < 1e-12
 
-    @pytest.mark.parametrize("m", [2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        ("n", "m"), [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+    )
     def test_lift_is_unitary(self, m, n):
         for seed in range(5):
             u = haar_unitary(m, 1000 * m + 10 * n + seed)
@@ -156,20 +199,52 @@ class TestLiftUnitary:
                 lift_unitary(ModeUnitary(u), 2), two_photon_lift_oracle(u), atol=1e-12
             )
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_composition_homomorphism(self, n):
-        u = haar_unitary(2, 31 + n)
-        v = haar_unitary(2, 77 + n)
+    @pytest.mark.parametrize(
+        ("n", "m"), [(1, 2), (2, 2), (3, 2), (4, 4)], ids=["1", "2", "3", "4-4"]
+    )
+    def test_composition_homomorphism(self, n, m):
+        u = haar_unitary(m, 31 + n)
+        v = haar_unitary(m, 77 + n)
         lhs = lift_unitary(ModeUnitary(u @ v), n)
         rhs = lift_unitary(ModeUnitary(u), n) @ lift_unitary(ModeUnitary(v), n)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_matches_per_entry_oracle(self, m, n):
+        u = haar_unitary(m, 9000 + 10 * m + n) if m > 1 else np.array([[np.exp(0.7j)]])
+        lifted = lift_unitary(ModeUnitary(u), n)
+        assert lifted == pytest.approx(lift_oracle(u, n), abs=1e-12)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             lift_unitary(np.array([[1.0, 0.0], [0.0, 1.1]]), 2)
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
 class TestStates:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_mode_unitary_rejects_non_finite(self, bad):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ModeUnitary(u)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_pure_state_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(((1, 0), (0, 1)), np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_density_matrix_rejects_non_finite(self, bad, entry):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[entry] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(((1, 0), (0, 1)), rho)
+
     def test_pure_state_norm_enforced(self):
         with pytest.raises(ValueError):
             PureState(((1, 0), (0, 1)), np.array([1.0, 1.0]))
