@@ -15,7 +15,6 @@ a given config reproduces a bit-identical stream.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -53,6 +52,22 @@ STANDARD_CHANNELS = (0, 1, 2, 3)
 STANDARD_PAIRS = ((0, 1), (2, 3)) + CROSS_PAIRS
 
 _BINARY_MAGIC = b"NOONTAG1"
+_BINARY_RECORD = np.dtype([("ch", "u1"), ("ts", "<u8")])
+
+
+def _binary_header(n_channels: int) -> struct.Struct:
+    return struct.Struct(f"<8sdB{n_channels}BQ")
+
+
+def _as_uint8(name: str, values) -> np.ndarray:
+    raw = np.asarray(values)
+    # Check the range before the cast can wrap, then that the cast kept every value.
+    if not np.all((raw >= 0) & (raw <= 255)):
+        raise ValueError(f"{name} must lie in 0..255")
+    out = raw.astype(np.uint8, copy=False)
+    if not np.array_equal(out, raw):
+        raise ValueError(f"{name} must be integers")
+    return out
 
 
 @dataclass(frozen=True)
@@ -65,21 +80,21 @@ class TagStream:
     channel_ids: tuple[int, ...] = STANDARD_CHANNELS
 
     def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=np.uint8)
+        ch = _as_uint8("channels", self.channels)
+        ids = tuple(_as_uint8("channel ids", self.channel_ids).tolist())
         ts = np.asarray(self.timestamps_ps, dtype=np.int64)
         if ch.shape != ts.shape or ch.ndim != 1:
             raise ValueError("channels and timestamps must be 1-d arrays of equal length")
         if len(ts) > 1 and np.any(np.diff(ts) < 0):
             raise ValueError("timestamps must be non-decreasing")
-        ids = set(int(c) for c in self.channel_ids)
-        present = set(np.unique(ch).tolist())
-        if not present <= ids:
-            raise ValueError(f"records reference unregistered channels {sorted(present - ids)}")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be > 0")
+        unregistered = set(np.unique(ch).tolist()) - set(ids)
+        if unregistered:
+            raise ValueError(f"records reference unregistered channels {sorted(unregistered)}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError("duration must be finite and > 0")
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "timestamps_ps", ts)
-        object.__setattr__(self, "channel_ids", tuple(int(c) for c in self.channel_ids))
+        object.__setattr__(self, "channel_ids", ids)
 
     def __len__(self) -> int:
         return len(self.timestamps_ps)
@@ -420,8 +435,9 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
 # --- stream file formats ---------------------------------------------------
 #
 # Binary: magic "NOONTAG1", then little-endian f64 duration_s, u8 channel
-# count, that many u8 channel ids, u64 record count, and records of
-# (u8 channel, u64 timestamp_ps).
+# count, that many u8 channel ids, u64 record count (one struct,
+# `_binary_header`), and exactly that many 9-byte records of (u8 channel,
+# u64 timestamp_ps).
 #
 # CSV: header "channel,timestamp_ps", one record per line.  The CSV form
 # carries no duration/channel metadata; readers may pass it explicitly.
@@ -429,19 +445,16 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
 
 def tags_to_bytes(stream: TagStream, fmt: str = "binary") -> bytes:
     if fmt == "binary":
-        buf = io.BytesIO()
-        buf.write(_BINARY_MAGIC)
-        buf.write(struct.pack("<d", stream.duration_s))
-        buf.write(struct.pack("<B", len(stream.channel_ids)))
-        buf.write(struct.pack(f"<{len(stream.channel_ids)}B", *stream.channel_ids))
-        buf.write(struct.pack("<Q", len(stream)))
-        records = np.empty(
-            len(stream), dtype=np.dtype([("ch", "u1"), ("ts", "<u8")])
+        ids = stream.channel_ids
+        if len(ids) > 255:
+            raise ValueError("the binary format holds at most 255 channel ids")
+        header = _binary_header(len(ids)).pack(
+            _BINARY_MAGIC, stream.duration_s, len(ids), *ids, len(stream)
         )
+        records = np.empty(len(stream), dtype=_BINARY_RECORD)
         records["ch"] = stream.channels
         records["ts"] = stream.timestamps_ps.astype(np.uint64)
-        buf.write(records.tobytes())
-        return buf.getvalue()
+        return header + records.tobytes()
     if fmt == "csv":
         lines = ["channel,timestamp_ps"]
         lines.extend(
@@ -456,18 +469,13 @@ def tags_from_bytes(data: bytes, fmt: str = "binary", duration_s: float | None =
     if fmt == "binary":
         if data[:8] != _BINARY_MAGIC:
             raise ValueError("not a tag stream: bad magic header")
-        off = 8
-        (duration,) = struct.unpack_from("<d", data, off)
-        off += 8
-        (n_ch,) = struct.unpack_from("<B", data, off)
-        off += 1
-        channel_ids = struct.unpack_from(f"<{n_ch}B", data, off)
-        off += n_ch
-        (n_rec,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        records = np.frombuffer(
-            data, dtype=np.dtype([("ch", "u1"), ("ts", "<u8")]), count=n_rec, offset=off
-        )
+        header = _binary_header(data[16]) if len(data) > 16 else None
+        if header is None or len(data) < header.size:
+            raise ValueError("truncated tag stream header")
+        _, duration, _, *channel_ids, n_rec = header.unpack_from(data)
+        if len(data) != header.size + _BINARY_RECORD.itemsize * n_rec:
+            raise ValueError(f"tag stream length {len(data)} B does not match its {n_rec} records")
+        records = np.frombuffer(data, dtype=_BINARY_RECORD, count=n_rec, offset=header.size)
         return TagStream(
             records["ch"].copy(),
             records["ts"].astype(np.int64),
@@ -484,7 +492,7 @@ def tags_from_bytes(data: bytes, fmt: str = "binary", duration_s: float | None =
             c, t = ln.split(",")
             ch.append(int(c))
             ts.append(int(t))
-        channels = np.array(ch, dtype=np.uint8)
+        channels = np.array(ch, dtype=np.int64)
         timestamps = np.array(ts, dtype=np.int64)
         if duration_s is None:
             duration_s = (float(timestamps.max()) + 1.0) / 1e12 if len(timestamps) else 1.0

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -301,6 +302,53 @@ class TestStreamIO:
         data = tags_to_bytes(stream, fmt="binary")
         assert data[:8] == b"NOONTAG1"
 
+    def test_binary_layout(self):
+        stream = TagStream(
+            np.array([0, 3, 1], dtype=np.uint8),
+            np.array([5, 7, 2**40], dtype=np.int64),
+            duration_s=2.5,
+            channel_ids=(0, 1, 3),
+        )
+        want = b"NOONTAG1" + struct.pack("<d", 2.5) + struct.pack("<B", 3) + bytes([0, 1, 3])
+        want += struct.pack("<Q", 3)
+        want += b"".join(struct.pack("<BQ", c, t) for c, t in [(0, 5), (3, 7), (1, 2**40)])
+        assert tags_to_bytes(stream, fmt="binary") == want
+
+    def test_truncated_or_overlong_binary_rejected(self):
+        stream = TagStream(
+            np.array([0, 1, 2, 3], dtype=np.uint8), np.array([1, 2, 3, 4]), duration_s=1.0
+        )
+        data = tags_to_bytes(stream, fmt="binary")
+        for k in range(len(data)):
+            with pytest.raises(ValueError):
+                tags_from_bytes(data[:k], fmt="binary")
+        with pytest.raises(ValueError):
+            tags_from_bytes(data + b"\x00", fmt="binary")
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 254), st.integers(0, 2**62)), max_size=20),
+        st.floats(1e-12, 1e6),
+    )
+    def test_binary_round_trips_any_stream(self, records, duration_s):
+        records.sort(key=lambda r: r[1])
+        channels = np.array([c for c, _ in records], dtype=np.int64)
+        timestamps = np.array([t for _, t in records], dtype=np.int64)
+        stream = TagStream(channels, timestamps, duration_s, tuple(range(255)))
+        back = tags_from_bytes(tags_to_bytes(stream, fmt="binary"), fmt="binary")
+        assert np.array_equal(back.channels, stream.channels)
+        assert np.array_equal(back.timestamps_ps, stream.timestamps_ps)
+        assert (back.duration_s, back.channel_ids) == (stream.duration_s, stream.channel_ids)
+
+    def test_more_channel_ids_than_the_header_holds(self):
+        stream = TagStream(np.array([0]), np.array([0]), 1.0, channel_ids=tuple(range(256)))
+        with pytest.raises(ValueError):
+            tags_to_bytes(stream, fmt="binary")
+
+    def test_csv_channel_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            tags_from_bytes(b"channel,timestamp_ps\n300,5\n", fmt="csv")
+
     def test_format_autodetect(self, tmp_path):
         stream = generate_tags(config(seed=37))
         p1 = tmp_path / "a.tags"
@@ -318,6 +366,29 @@ class TestStreamValidation:
                 np.array([100, 50], dtype=np.int64),
                 duration_s=1.0,
             )
+
+    def test_channel_beyond_uint8_rejected(self):
+        # 300 would wrap to the registered 44 in a uint8 cast.
+        with pytest.raises(ValueError):
+            TagStream(np.array([300]), np.array([0]), 1.0, channel_ids=(44,))
+        with pytest.raises(ValueError):
+            TagStream(np.array([-1]), np.array([0]), 1.0, channel_ids=(255,))
+
+    @pytest.mark.parametrize("bad_id", [300, -1, 1.5, math.nan])
+    def test_channel_id_not_a_uint8_integer_rejected(self, bad_id):
+        with pytest.raises(ValueError):
+            TagStream(np.array([0]), np.array([0]), 1.0, channel_ids=(0, bad_id))
+
+    @pytest.mark.parametrize("channel", [0.5, math.nan, -1.0, 300.0])
+    def test_non_integer_channel_rejected(self, channel):
+        # Float channels outside 0..255 must be caught before the cast, which would warn.
+        with pytest.raises(ValueError):
+            TagStream(np.array([channel]), np.array([0]), 1.0)
+
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0, -1.0])
+    def test_duration_must_be_finite_and_positive(self, duration_s):
+        with pytest.raises(ValueError):
+            TagStream(np.array([0]), np.array([0]), duration_s)
 
     def test_unregistered_channel(self):
         with pytest.raises(ValueError):
