@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fock import ModeUnitary
+from .fock import ModeUnitary, _check_finite, _check_index
 
 __all__ = [
     "PhaseShifter",
@@ -28,7 +27,6 @@ __all__ = [
     "Loss",
     "CircuitSpec",
     "ThermoOpticCalibration",
-    "phase_shifter_unitary",
     "coupler_unitary",
     "mzi_unitary",
     "compose",
@@ -37,17 +35,6 @@ __all__ = [
     "circuit_to_json",
     "circuit_from_json",
 ]
-
-
-def _check_index(name: str, value, low: int = 0) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _check_finite(name: str, value) -> None:
-    x = value.item() if isinstance(value, np.generic) else value
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 class _Element:
@@ -140,11 +127,6 @@ class ThermoOpticCalibration:
             raise ValueError("rad_per_mw must be nonzero")
 
 
-def phase_shifter_unitary(theta: float) -> ModeUnitary:
-    """diag(1, e^{i*theta}) on a mode pair (phase on the second mode)."""
-    return ModeUnitary(np.diag([1.0, np.exp(1j * theta)]))
-
-
 def coupler_unitary(mixing: float = math.pi / 4) -> ModeUnitary:
     """[[cos k, i sin k], [i sin k, cos k]]; mixing pi/4 is the 50:50 case."""
     c, s = math.cos(mixing), math.sin(mixing)
@@ -229,16 +211,3 @@ def circuit_to_json(spec: CircuitSpec) -> str:
 
 def circuit_from_json(text: str) -> CircuitSpec:
     return circuit_from_dict(json.loads(text))
-
-
-def bind_first_phase(spec: CircuitSpec, theta: float) -> CircuitSpec:
-    """Copy of the netlist with the first phase shifter's phase set to theta.
-
-    Scan recipes treat the first phase shifter as the swept interferometer
-    phase; the standard MZI netlist has exactly one.
-    """
-    for i, el in enumerate(spec.elements):
-        if isinstance(el, PhaseShifter):
-            elements = spec.elements[:i] + (PhaseShifter(el.mode, theta),) + spec.elements[i + 1 :]
-            return CircuitSpec(spec.mode_count, elements)
-    raise ValueError("netlist has no phase shifter to bind")

@@ -15,31 +15,20 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fock import DensityMatrix, PureState, enumerate_sectors
+from .fock import DensityMatrix, PureState, _check_finite, enumerate_sectors
 
 __all__ = [
-    "PATTERN_BASIS",
     "DetectionPattern",
     "DETECTION_PATTERNS",
     "LossSpec",
     "apply_loss",
     "pattern_probs",
-    "ClickFractions",
     "SPLITTER_TREE_DETECTION",
-    "splitter_tree_click_probs",
     "invert_splitter_tree",
     "VisibilityFit",
     "fit_fringe",
-    "visibility",
     "loss_budget",
 ]
-
-# Canonical order of the two-photon output patterns.
-PATTERN_BASIS = ((2, 0), (1, 1), (0, 2))
-
-ARM_A_CHANNELS = (0, 1)
-ARM_B_CHANNELS = (2, 3)
-CROSS_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 @dataclass(frozen=True)
@@ -51,9 +40,11 @@ class DetectionPattern:
     detector_pairs: tuple[tuple[int, int], ...]
 
 
+# The two-photon output patterns in canonical Fock order, each with the
+# splitter-tree detector pairs that signal it.
 DETECTION_PATTERNS = (
     DetectionPattern((2, 0), "2a0b", ((0, 1),)),
-    DetectionPattern((1, 1), "1a1b", CROSS_PAIRS),
+    DetectionPattern((1, 1), "1a1b", ((0, 2), (0, 3), (1, 2), (1, 3))),
     DetectionPattern((0, 2), "0a2b", ((2, 3),)),
 )
 
@@ -87,6 +78,7 @@ class LossSpec:
     def __post_init__(self):
         for breakdown in (self.breakdown_a_db, self.breakdown_b_db):
             for name, value in breakdown.items():
+                _check_finite(f"loss entry {name!r}", value)
                 if value < 0:
                     raise ValueError(f"loss entry {name!r} must be >= 0 dB")
 
@@ -151,7 +143,7 @@ def apply_loss(rho: DensityMatrix, eta_a: float, eta_b: float) -> DensityMatrix:
 
 
 def pattern_probs(state: DensityMatrix | PureState) -> np.ndarray:
-    """Probabilities of the three two-photon patterns, in PATTERN_BASIS order.
+    """Probabilities of the three two-photon patterns, in DETECTION_PATTERNS order.
 
     The state may span several photon-number sectors (after loss); the
     result then sums to the two-photon sector weight rather than one.
@@ -161,60 +153,24 @@ def pattern_probs(state: DensityMatrix | PureState) -> np.ndarray:
     diag = state.probabilities()
     index = {occ: i for i, occ in enumerate(state.basis)}
     probs = np.zeros(3)
-    for k, occ in enumerate(PATTERN_BASIS):
-        if occ in index:
-            probs[k] = diag[index[occ]]
+    for k, p in enumerate(DETECTION_PATTERNS):
+        if p.occupation in index:
+            probs[k] = diag[index[p.occupation]]
     return probs
 
 
-@dataclass(frozen=True)
-class ClickFractions:
-    """Coincidence-rate fractions at the four detectors, per pattern input.
-
-    Two photons in one arm split across that arm's detector pair only half
-    the time, while |1,1> always yields a cross-arm pair, so an equal-
-    amplitude bunched fringe peaks at one quarter of the anti-bunched peak.
-    The per-pattern factors are SPLITTER_TREE_DETECTION, which both
-    splitter_tree_click_probs and invert_splitter_tree apply.
-    """
-
-    same_arm_a: float
-    same_arm_b: float
-    cross_total: float
-
-    @property
-    def pair_fractions(self) -> dict[tuple[int, int], float]:
-        fractions = {
-            ARM_A_CHANNELS: self.same_arm_a,
-            ARM_B_CHANNELS: self.same_arm_b,
-        }
-        for pair in CROSS_PAIRS:
-            fractions[pair] = self.cross_total / 4.0
-        return fractions
-
-
-# Probability that a pair in each pattern, in PATTERN_BASIS order, fires one
-# of that pattern's detector pairs: a bunched pair splits across its arm's two
-# detectors half the time, a split pair always lands on some cross pair.
+# Probability that a pair in each pattern, in DETECTION_PATTERNS order, fires
+# one of that pattern's detector pairs: a bunched pair splits across its arm's
+# two detectors half the time, a split pair always lands on some cross pair, so
+# an equal-amplitude bunched fringe peaks at a quarter of the anti-bunched one.
 SPLITTER_TREE_DETECTION = (0.5, 1.0, 0.5)
-
-
-def splitter_tree_click_probs(probs) -> ClickFractions:
-    """Map chip-output pattern probabilities through the 50:50 splitter trees."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (3,):
-        raise ValueError("expected probabilities for the three patterns")
-    if probs.min() < -1e-12 or probs.sum() > 1.0 + 1e-9:
-        raise ValueError("invalid probability vector")
-    same_a, cross, same_b = probs * SPLITTER_TREE_DETECTION
-    return ClickFractions(same_arm_a=same_a, same_arm_b=same_b, cross_total=cross)
 
 
 def invert_splitter_tree(clicks) -> np.ndarray:
     """Chip-output pattern probabilities from per-pattern coincidence weights.
 
     `clicks` holds the same-arm a, cross-arm and same-arm b coincidence
-    counts (or rates), in PATTERN_BASIS order.  Each is divided by its
+    counts (or rates), in DETECTION_PATTERNS order.  Each is divided by its
     pattern's SPLITTER_TREE_DETECTION factor and the result is normalised
     to sum to one: the pattern probabilities conditioned on a detected pair.
     Equal detector efficiencies and mode transmissions scale every pattern
@@ -283,11 +239,6 @@ def fit_fringe(phases, values, frequency: float) -> VisibilityFit:
     return VisibilityFit(float(vis), float(offset), float(amplitude), float(phase), flat=False)
 
 
-def visibility(phases, values, frequency: float = 2.0) -> float:
-    """Fringe contrast (max-min)/(max+min) of the fitted sinusoid."""
-    return fit_fringe(phases, values, frequency).visibility
-
-
 def loss_budget(
     detected_pairs_per_s: float,
     per_photon_loss_db: float,
@@ -298,6 +249,9 @@ def loss_budget(
     Both photons of a pair attenuate independently, so the detected rate is
     scaled back up by the squared transmission before dividing by pump.
     """
+    _check_finite("detected pair rate", detected_pairs_per_s)
+    _check_finite("per-photon loss", per_photon_loss_db)
+    _check_finite("pump power", pump_mw)
     if detected_pairs_per_s < 0 or per_photon_loss_db < 0:
         raise ValueError("rate and loss must be >= 0")
     if pump_mw <= 0:

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "enumerate_basis",
     "enumerate_sectors",
     "permanent",
-    "permanent_naive",
     "ModeUnitary",
     "PureState",
     "DensityMatrix",
@@ -39,17 +39,24 @@ PSD_ATOL = 1e-10
 Occupation = tuple[int, ...]
 
 
+def _check_index(name: str, value, low: int = 0) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_finite(name: str, value) -> None:
+    x = value.item() if isinstance(value, np.generic) else value
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def enumerate_basis(mode_count: int, photon_number: int) -> list[Occupation]:
     """All occupation tuples of `photon_number` photons over `mode_count` modes.
 
     Returned in descending lexicographic order; length C(N+m-1, m-1).
     """
-    if mode_count < 1:
-        raise ValueError("mode_count must be >= 1")
-    if not isinstance(photon_number, (int, np.integer)) or isinstance(photon_number, bool):
-        raise ValueError(f"photon_number must be an int, got {photon_number!r}")
-    if photon_number < 0:
-        raise ValueError("photon_number must be >= 0")
+    _check_index("mode_count", mode_count, low=1)
+    _check_index("photon_number", photon_number)
 
     def fill(modes_left, photons_left):
         if modes_left == 1:
@@ -68,27 +75,6 @@ def enumerate_sectors(mode_count: int, max_photon_number: int) -> list[Occupatio
     for n in range(max_photon_number, -1, -1):
         out.extend(enumerate_basis(mode_count, n))
     return out
-
-
-def permanent_naive(a: np.ndarray) -> complex:
-    """Matrix permanent by direct expansion over permutations (O(n!·n)).
-
-    Reference implementation; kept as the independent check for the
-    Gray-code evaluator below.
-    """
-    a = _as_square(a)
-    n = a.shape[0]
-    if n == 0:
-        return complex(1.0)
-    from itertools import permutations
-
-    total = 0.0 + 0.0j
-    for perm in permutations(range(n)):
-        prod = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            prod *= a[i, j]
-        total += prod
-    return complex(total)
 
 
 def permanent(a: np.ndarray) -> complex | np.ndarray:
@@ -130,13 +116,6 @@ def permanent(a: np.ndarray) -> complex | np.ndarray:
     return complex(total) if total.ndim == 0 else total
 
 
-def _as_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def _canonical_key(occ: Occupation):
     # Sector-major (total photon number descending), then descending lex.
     return (-sum(occ), tuple(-n for n in occ))
@@ -176,9 +155,6 @@ class ModeUnitary:
     @property
     def mode_count(self) -> int:
         return self.matrix.shape[0]
-
-    def __matmul__(self, other: "ModeUnitary") -> "ModeUnitary":
-        return ModeUnitary(self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 Covers the two-photon path-entangled state produced by a pair of coherently
 pumped down-conversion sources (balance, phase, purity), spectral overlap
-between the sources, pump-power rate scaling, and the generic sinc^2
-quasi-phase-matching response.
+between the sources and pump-power rate scaling.
 
 Spectral amplitudes are taken real and non-negative (no spectral chirp):
 ``f = sqrt(I)`` for the configured intensity shape.
@@ -16,19 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, PureState, enumerate_basis
+from .fock import DensityMatrix, PureState, _check_finite, enumerate_basis
 
 __all__ = [
     "TWO_PHOTON_BASIS",
-    "NoonSpec",
     "SpectrumSpec",
     "SourceRateSpec",
     "noon_pure",
     "noon_mixed",
     "spectral_overlap",
     "pair_rate",
-    "qpm_response",
-    "qpm_bandwidth_nm",
 ]
 
 # Two modes, two photons: ((2, 0), (1, 1), (0, 2)).
@@ -39,31 +35,8 @@ SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 # Root of (sin x / x)^2 = 1/2; fixes the sinc^2 width normalization.
 _SINC_HALF_X = 1.39155737825151
 
-# Full width at half maximum of sinc^2(x/2) in x = dk*L.
-QPM_FWHM_DKL = 4.0 * _SINC_HALF_X
-
 # Samples of the shared grid on which spectral_overlap integrates.
 _OVERLAP_GRID_POINTS = 20001
-
-
-@dataclass(frozen=True)
-class NoonSpec:
-    """Parameters of the generated two-photon path state.
-
-    balance is the pair-generation weight of source a (0.5 = balanced),
-    phase is the path phase (enters the state as exp(2i*phase)), and purity
-    scales the coherence between the two double-occupancy components.
-    """
-
-    balance: float = 0.5
-    phase: float = 0.0
-    purity: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.balance <= 1.0:
-            raise ValueError("balance must lie in [0, 1]")
-        if not 0.0 <= self.purity <= 1.0:
-            raise ValueError("purity must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -109,6 +82,8 @@ class SourceRateSpec:
     pump_mw: float
 
     def __post_init__(self):
+        _check_finite("brightness", self.brightness_pairs_per_s_per_mw)
+        _check_finite("pump power", self.pump_mw)
         if self.brightness_pairs_per_s_per_mw < 0 or self.pump_mw < 0:
             raise ValueError("brightness and pump power must be >= 0")
 
@@ -181,24 +156,3 @@ def spectral_overlap(s1: SpectrumSpec, s2: SpectrumSpec) -> float:
 def pair_rate(spec: SourceRateSpec) -> float:
     """On-chip pairs/s: brightness times pump power (linear CW regime)."""
     return spec.brightness_pairs_per_s_per_mw * spec.pump_mw
-
-
-def qpm_response(dkl: float | np.ndarray):
-    """Normalized quasi-phase-matching efficiency sinc^2(dk*L / 2).
-
-    Unity at perfect phase matching, first null at dk*L = 2*pi.
-    """
-    x = np.asarray(dkl, dtype=float) / 2.0
-    out = np.sinc(x / math.pi) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def qpm_bandwidth_nm(dkl_slope_per_nm: float) -> float:
-    """Wavelength FWHM of the phase-matching curve for a linear dk(lambda) map.
-
-    dkl_slope_per_nm is d(dk*L)/d(lambda) in rad/nm; it scales linearly with
-    the poled length, so the bandwidth falls as 1/L.
-    """
-    if dkl_slope_per_nm == 0:
-        raise ValueError("dk*L slope must be nonzero")
-    return QPM_FWHM_DKL / abs(dkl_slope_per_nm)

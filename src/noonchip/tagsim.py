@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import (
-    CROSS_PAIRS,
     DETECTION_PATTERNS,
     SPLITTER_TREE_DETECTION,
     VisibilityFit,
@@ -30,6 +29,7 @@ from .detection import (
     fit_fringe,
     invert_splitter_tree,
 )
+from .fock import _check_finite, _check_index
 
 __all__ = [
     "TagStream",
@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 STANDARD_CHANNELS = (0, 1, 2, 3)
-# Same-arm pairs signal the bunched patterns, cross pairs the split one.
-STANDARD_PAIRS = ((0, 1), (2, 3)) + CROSS_PAIRS
+# Every detector pair that signals a two-photon pattern.
+STANDARD_PAIRS = tuple(pair for p in DETECTION_PATTERNS for pair in p.detector_pairs)
 
 _BINARY_MAGIC = b"NOONTAG1"
 _BINARY_RECORD = np.dtype([("ch", "u1"), ("ts", "<u8")])
@@ -85,8 +85,10 @@ class TagStream:
         ts = np.asarray(self.timestamps_ps, dtype=np.int64)
         if ch.shape != ts.shape or ch.ndim != 1:
             raise ValueError("channels and timestamps must be 1-d arrays of equal length")
-        if len(ts) > 1 and np.any(np.diff(ts) < 0):
-            raise ValueError("timestamps must be non-decreasing")
+        # Non-decreasing from a non-negative first stamp keeps every stamp >= 0,
+        # which also refuses a u64 stamp past 2^63 that wrapped in the int64 cast.
+        if len(ts) and (ts[0] < 0 or np.any(np.diff(ts) < 0)):
+            raise ValueError("timestamps must be non-negative and non-decreasing")
         unregistered = set(np.unique(ch).tolist()) - set(ids)
         if unregistered:
             raise ValueError(f"records reference unregistered channels {sorted(unregistered)}")
@@ -132,15 +134,18 @@ class TagSimConfig:
     jitter_sigma_ps: float = 0.0
 
     def __post_init__(self):
+        for name in ("pair_rate_hz", "duration_s", "jitter_sigma_ps"):
+            _check_finite(name, getattr(self, name))
+        _check_index("seed", self.seed)
         if self.pair_rate_hz < 0:
             raise ValueError("pair rate must be >= 0")
         probs = tuple(float(p) for p in self.pattern_probs)
+        for p in probs:
+            _check_finite("pattern probability", p)
         if len(probs) != 3 or min(probs) < -1e-12 or sum(probs) > 1.0 + 1e-9:
             raise ValueError("pattern_probs must be three probabilities summing to <= 1")
         if self.duration_s <= 0:
             raise ValueError("duration must be > 0")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError("seed is mandatory and must be an integer")
         eff = tuple(float(e) for e in self.detector_efficiency)
         if len(eff) != 4 or any(not 0.0 <= e <= 1.0 for e in eff):
             raise ValueError("detector_efficiency must be four values in [0, 1]")
@@ -151,6 +156,8 @@ class TagSimConfig:
         if isinstance(dark, (int, float)):
             dark = (float(dark),) * 4
         dark = tuple(float(d) for d in dark)
+        for d in dark:
+            _check_finite("dark rate", d)
         if len(dark) != 4 or min(dark) < 0:
             raise ValueError("dark_rate_hz must be four non-negative rates")
         if self.jitter_sigma_ps < 0:

@@ -6,15 +6,14 @@ import pytest
 
 from noonchip.circuit import mzi_unitary
 from noonchip.detection import (
-    CROSS_PAIRS,
+    DETECTION_PATTERNS,
+    SPLITTER_TREE_DETECTION,
     LossSpec,
     apply_loss,
     fit_fringe,
     invert_splitter_tree,
     loss_budget,
     pattern_probs,
-    splitter_tree_click_probs,
-    visibility,
 )
 from noonchip.fock import DensityMatrix, PureState, enumerate_basis, evolve
 from noonchip.sources import TWO_PHOTON_BASIS, noon_mixed, noon_pure
@@ -112,39 +111,46 @@ class TestPatternProbs:
         assert probs.sum() == pytest.approx(rho.sector_weight(2), abs=1e-12)
 
 
+def routed_pairs(occupation):
+    """Detector pairs fired by each of the four equally likely splitter routings.
+
+    Each photon takes either output of its arm's 50:50 splitter (channels
+    0,1 behind arm a, 2,3 behind arm b); two photons on one detector fire
+    no pair.
+    """
+    modes = [m for m, n in enumerate(occupation) for _ in range(n)]
+    fired = []
+    for routes in product([0, 1], repeat=2):
+        d1, d2 = sorted(2 * m + r for m, r in zip(modes, routes))
+        if d1 != d2:
+            fired.append((d1, d2))
+    return fired
+
+
 class TestSplitterTree:
     def test_bunched_pattern_routing(self):
-        # Enumerate the four equally likely routings of two photons in one
-        # arm: both photons must take different splitter outputs for the
-        # same-arm pair to fire, which happens in 2 of 4 cases.
-        routings = list(product([0, 1], repeat=2))
-        fraction = sum(1 for r in routings if r[0] != r[1]) / len(routings)
-        assert fraction == 0.5
-        clicks = splitter_tree_click_probs([1.0, 0.0, 0.0])
-        assert clicks.same_arm_a == pytest.approx(fraction)
-        assert clicks.same_arm_b == 0.0
-        assert clicks.cross_total == 0.0
+        # Both photons of a bunched pair must take different splitter outputs
+        # for the same-arm pair to fire, which happens in 2 of 4 routings; a
+        # split pair fires some cross pair in every routing.
+        fractions = [len(routed_pairs(p.occupation)) / 4 for p in DETECTION_PATTERNS]
+        assert fractions == [0.5, 1.0, 0.5]
+        assert SPLITTER_TREE_DETECTION == tuple(fractions)
 
     def test_split_pattern_routing(self):
-        # One photon per arm: some cross pair always fires.
-        clicks = splitter_tree_click_probs([0.0, 1.0, 0.0])
-        assert clicks.cross_total == pytest.approx(1.0)
-        fr = clicks.pair_fractions
-        for pair in CROSS_PAIRS:
-            assert fr[pair] == pytest.approx(0.25)
+        # Each pattern fires exactly its own detector pairs, and a split pair
+        # fires each of its four cross pairs in one routing of four.
+        for p in DETECTION_PATTERNS:
+            assert set(routed_pairs(p.occupation)) == set(p.detector_pairs)
+        assert sorted(routed_pairs((1, 1))) == sorted(DETECTION_PATTERNS[1].detector_pairs)
 
     def test_bunched_peak_is_quarter_of_antibunched(self):
         u = mzi_unitary(math.pi / 2)
         same_a, cross = [], []
         for phi in PHI:
-            clicks = splitter_tree_click_probs(pattern_probs(evolve(noon_pure(0.5, phi), u)))
-            same_a.append(clicks.same_arm_a)
-            cross.append(clicks.cross_total)
+            clicks = pattern_probs(evolve(noon_pure(0.5, phi), u)) * SPLITTER_TREE_DETECTION
+            same_a.append(clicks[0])
+            cross.append(clicks[1])
         assert max(same_a) == pytest.approx(max(cross) / 4.0, abs=1e-12)
-
-    def test_invalid_input(self):
-        with pytest.raises(ValueError):
-            splitter_tree_click_probs([0.7, 0.7, 0.7])
 
     @pytest.mark.parametrize(
         "probs",
@@ -157,8 +163,7 @@ class TestSplitterTree:
         ],
     )
     def test_inverse_recovers_normalised_pattern_probs(self, probs):
-        clicks = splitter_tree_click_probs(probs)
-        weights = [clicks.same_arm_a, clicks.cross_total, clicks.same_arm_b]
+        weights = np.asarray(probs) * SPLITTER_TREE_DETECTION
         expected = np.asarray(probs) / sum(probs)
         assert np.allclose(invert_splitter_tree(weights), expected, rtol=0, atol=1e-15)
 
@@ -171,7 +176,7 @@ class TestSplitterTree:
 class TestVisibilityFit:
     def test_full_contrast(self):
         values = np.sin(PHI) ** 2
-        assert visibility(PHI, values, frequency=2.0) == pytest.approx(1.0, abs=1e-12)
+        assert fit_fringe(PHI, values, frequency=2.0).visibility == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_flags_flat(self):
         fit = fit_fringe(PHI, np.full_like(PHI, 0.25), frequency=2.0)
@@ -180,16 +185,16 @@ class TestVisibilityFit:
 
     def test_half_contrast(self):
         values = (1.0 + 0.5 * np.cos(2 * PHI)) / 2.0
-        assert visibility(PHI, values, frequency=2.0) == pytest.approx(0.5, abs=1e-12)
+        assert fit_fringe(PHI, values, frequency=2.0).visibility == pytest.approx(0.5, abs=1e-12)
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
-            visibility([0, 1, 2], [0, 1, 0], frequency=2.0)
+            fit_fringe([0, 1, 2], [0, 1, 0], frequency=2.0)
 
     def test_requires_full_period(self):
         phi = np.linspace(0, 1.0, 20)
         with pytest.raises(ValueError):
-            visibility(phi, np.sin(phi) ** 2, frequency=2.0)
+            fit_fringe(phi, np.sin(phi) ** 2, frequency=2.0)
 
 
 class TestFringeLaws:
@@ -255,9 +260,27 @@ class TestLossBudget:
         with pytest.raises(ValueError):
             loss_budget(100.0, 3.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (math.nan, 3.0, 1.0),
+            (100.0, math.nan, 1.0),
+            (100.0, math.inf, 1.0),
+            (100.0, 3.0, math.nan),
+        ],
+    )
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError):
+            loss_budget(*args)
+
     def test_loss_spec_totals(self):
         spec = LossSpec()
         assert spec.total_a_db == pytest.approx(13.0)
         assert spec.eta_a == pytest.approx(10 ** (-1.3))
         with pytest.raises(ValueError):
             LossSpec(breakdown_a_db={"grating_coupler": -1.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_loss_spec_non_finite_rejected(self, value):
+        with pytest.raises(ValueError):
+            LossSpec(breakdown_a_db={"x": value})

@@ -16,12 +16,33 @@ from noonchip.fock import (
     evolve,
     lift_unitary,
     permanent,
-    permanent_naive,
 )
 
 
 def haar_unitary(dim, seed):
     return unitary_group.rvs(dim, random_state=np.random.default_rng(seed))
+
+
+def _as_square(a):
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def permanent_naive(a):
+    """Matrix permanent by direct expansion over permutations (O(n!·n)).
+
+    The independent check for the Gray-code evaluator ``permanent``.
+    """
+    a = _as_square(a)
+    total = 0.0 + 0.0j
+    for perm in permutations(range(a.shape[0])):
+        prod = 1.0 + 0.0j
+        for i, j in enumerate(perm):
+            prod *= a[i, j]
+        total += prod
+    return complex(total)
 
 
 def two_photon_lift_oracle(u):

@@ -1,6 +1,7 @@
-"""The package imports no third-party module that pyproject.toml does not declare."""
+"""Packaging checks: declared dependencies, script entry points and ``__all__``."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "noonchip"
 
 
 def declared_dependencies() -> set[str]:
@@ -36,8 +38,27 @@ def test_third_party_imports_are_declared_dependencies():
     declared = declared_dependencies()
     undeclared = sorted(
         f"{path.name}: {name}"
-        for path in (ROOT / "src" / "noonchip").glob("*.py")
+        for path in PACKAGE.glob("*.py")
         for name in imported_top_level_names(path)
         if name not in sys.stdlib_module_names and name != "noonchip" and name not in declared
     )
     assert undeclared == []
+
+
+def test_project_scripts_name_functions_defined_in_the_package():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"].get("scripts", {})
+    for command, target in scripts.items():
+        module, _, function = target.partition(":")
+        path = ROOT / "src" / (module.replace(".", "/") + ".py")
+        assert path.is_relative_to(PACKAGE) and path.is_file(), f"{command}: no file for {module}"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert function in defined, f"{command}: {module} defines no function {function}"
+
+
+@pytest.mark.parametrize(
+    "module", ["noonchip"] + sorted(f"noonchip.{p.stem}" for p in PACKAGE.glob("[!_]*.py"))
+)
+def test_every_name_in_all_is_bound(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

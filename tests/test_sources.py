@@ -2,21 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from noonchip.sources import (
-    QPM_FWHM_DKL,
-    NoonSpec,
     SourceRateSpec,
     SpectrumSpec,
     noon_mixed,
     noon_pure,
     pair_rate,
-    qpm_bandwidth_nm,
-    qpm_response,
     spectral_overlap,
 )
 
@@ -50,7 +43,7 @@ class TestNoonPure:
         with pytest.raises(ValueError):
             noon_pure(1.5, 0.0)
         with pytest.raises(ValueError):
-            NoonSpec(balance=0.5, purity=-0.1)
+            noon_mixed(0.5, 0.0, -0.1)
 
 
 class TestNoonMixed:
@@ -142,28 +135,7 @@ class TestPairRate:
         with pytest.raises(ValueError):
             SourceRateSpec(-1.0, 0.01)
 
-
-class TestQpmResponse:
-    def test_phase_matched_peak(self):
-        assert qpm_response(0.0) == pytest.approx(1.0)
-
-    def test_first_null(self):
-        assert qpm_response(2 * math.pi) == pytest.approx(0.0, abs=1e-15)
-
-    def test_fwhm_constant(self):
-        # Independent root find of sinc^2(x/2) = 1/2.
-        half = brentq(lambda x: (math.sin(x / 2) / (x / 2)) ** 2 - 0.5, 1.0, 4.0, xtol=1e-14)
-        assert QPM_FWHM_DKL == pytest.approx(2 * half, abs=1e-9)
-        assert QPM_FWHM_DKL == pytest.approx(5.566, abs=1e-3)
-        assert qpm_response(half) == pytest.approx(0.5, abs=1e-12)
-
-    @given(st.floats(-50.0, 50.0))
-    def test_even_and_bounded(self, x):
-        r = qpm_response(x)
-        assert r == pytest.approx(qpm_response(-x), abs=1e-12)
-        assert 0.0 <= r <= 1.0 + 1e-12
-
-    def test_bandwidth_scales_inversely_with_length(self):
-        bw1 = qpm_bandwidth_nm(0.5)
-        bw2 = qpm_bandwidth_nm(1.0)  # doubled slope = doubled length
-        assert bw1 == pytest.approx(2 * bw2)
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError):
+            SourceRateSpec(*args)

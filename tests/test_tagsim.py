@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noonchip.circuit import mzi_unitary
-from noonchip.detection import pattern_probs, splitter_tree_click_probs
+from noonchip.detection import SPLITTER_TREE_DETECTION, pattern_probs
 from noonchip.fock import evolve
 from noonchip.sources import noon_mixed, noon_pure
 from noonchip.tagsim import (
@@ -100,6 +100,22 @@ class TestGenerateTags:
                 duration_s=1.0,
                 seed=1.5,
             )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"pair_rate_hz": math.nan},
+            {"pattern_probs": (0.0, math.nan, 0.0)},
+            {"jitter_sigma_ps": math.nan},
+            {"duration_s": math.inf},
+            {"dark_rate_hz": math.nan},
+            {"dark_rate_hz": (0.0, math.inf, 0.0, 0.0)},
+            {"seed": True},
+        ],
+    )
+    def test_non_finite_or_bool_input_rejected(self, bad):
+        with pytest.raises(ValueError):
+            config(**bad)
 
 
 class TestCountCoincidences:
@@ -212,12 +228,8 @@ class TestPatternConvergence:
     def test_fractions_match_analytic_model(self):
         state = evolve(noon_pure(0.5, 1.1), mzi_unitary(math.pi / 2))
         probs = pattern_probs(state)
-        clicks = splitter_tree_click_probs(probs)
-        expected = {
-            "2a0b": clicks.same_arm_a,
-            "1a1b": clicks.cross_total,
-            "0a2b": clicks.same_arm_b,
-        }
+        clicks = probs * SPLITTER_TREE_DETECTION
+        expected = {"2a0b": clicks[0], "1a1b": clicks[1], "0a2b": clicks[2]}
         cfg = config(pair_rate_hz=200_000, pattern_probs=tuple(probs), seed=31)
         stream = generate_tags(cfg)
         # The pair count is Poisson; condition on the realised one.  With no
@@ -397,3 +409,13 @@ class TestStreamValidation:
                 np.array([100], dtype=np.int64),
                 duration_s=1.0,
             )
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(ValueError):
+            TagStream(np.array([0]), np.array([-5]), 1.0)
+
+    def test_wrapped_u64_timestamp_rejected(self):
+        # A stored 2^63 ps wraps to -2^63 in the reader's int64 cast.
+        data = tags_to_bytes(TagStream(np.array([0]), np.array([0]), 1.0), fmt="binary")
+        with pytest.raises(ValueError):
+            tags_from_bytes(data[:-9] + struct.pack("<BQ", 0, 2**63), fmt="binary")
