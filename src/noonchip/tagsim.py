@@ -82,7 +82,10 @@ class TagStream:
     def __post_init__(self):
         ch = _as_uint8("channels", self.channels)
         ids = tuple(_as_uint8("channel ids", self.channel_ids).tolist())
-        ts = np.asarray(self.timestamps_ps, dtype=np.int64)
+        try:
+            ts = np.asarray(self.timestamps_ps, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError("timestamps must be below 2^63 ps") from exc
         if ch.shape != ts.shape or ch.ndim != 1:
             raise ValueError("channels and timestamps must be 1-d arrays of equal length")
         # Non-decreasing from a non-negative first stamp keeps every stamp >= 0,
@@ -146,6 +149,8 @@ class TagSimConfig:
             raise ValueError("pattern_probs must be three probabilities summing to <= 1")
         if self.duration_s <= 0:
             raise ValueError("duration must be > 0")
+        if self.duration_s * 1e12 >= 2**63:
+            raise ValueError("duration must be below 2^63 ps")
         eff = tuple(float(e) for e in self.detector_efficiency)
         if len(eff) != 4 or any(not 0.0 <= e <= 1.0 for e in eff):
             raise ValueError("detector_efficiency must be four values in [0, 1]")
@@ -302,6 +307,7 @@ def count_coincidences(stream: TagStream, window_ps: float, pairs) -> Coincidenc
     Greedy nearest-match pairing per channel pair (see _greedy_walk); each
     tag is consumed at most once per pair.
     """
+    _check_finite("window", window_ps)
     if window_ps <= 0:
         raise ValueError("window must be > 0")
     singles = stream.singles()
@@ -446,8 +452,84 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
 # `_binary_header`), and exactly that many 9-byte records of (u8 channel,
 # u64 timestamp_ps).
 #
-# CSV: header "channel,timestamp_ps", one record per line.  The CSV form
-# carries no duration/channel metadata; readers may pass it explicitly.
+# CSV: ASCII, no duration/channel metadata; readers may pass the duration
+# explicitly, and register STANDARD_CHANNELS plus every channel they see.
+# - The first line is exactly "channel,timestamp_ps".
+# - Each record line is [0-9]{1,19},[0-9]{1,19} ending in "\n"; the final
+#   "\n" may be missing.  Timestamps are at most 2^63 - 1.
+# - Empty lines are skipped; a body with no rows is valid.
+# - Any other byte, a wrong column count or a longer field is a ValueError.
+
+_CSV_HEADER = b"channel,timestamp_ps"
+_CSV_MAX_DIGITS = 19
+# 10^0 .. 10^19: a value v has searchsorted(_POW10[1:], v, "right") + 1 digits.
+_POW10 = 10 ** np.arange(_CSV_MAX_DIGITS + 1, dtype=np.uint64)
+_COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
+
+
+def _write_digits(out: np.ndarray, last: np.ndarray, v: np.ndarray) -> None:
+    """Write each unsigned value v in decimal into out, its last digit at index `last`."""
+    while len(v):
+        q = v // 10
+        out[last] = (v - q * 10).astype(np.uint8) + _ZERO
+        v, last = q, last - 1
+        live = v > 0
+        if not live.all():
+            v, last = v[live], last[live]
+
+
+def _csv_encode(stream: TagStream) -> bytes:
+    ch, ts = stream.channels, stream.timestamps_ps.astype(np.uint64)
+    n_ch = np.searchsorted(_POW10[1:], ch, side="right") + 1
+    n_ts = np.searchsorted(_POW10[1:], ts, side="right") + 1
+    head = len(_CSV_HEADER) + 1
+    # Index of each record's "\n": "<ch>,<ts>\n" spans n_ch + n_ts + 2 bytes.
+    newline = head - 1 + np.cumsum(n_ch + n_ts + 2)
+    out = np.empty(newline[-1] + 1 if len(ts) else head, dtype=np.uint8)
+    out[:head] = np.frombuffer(_CSV_HEADER + b"\n", dtype=np.uint8)
+    out[newline] = _NEWLINE
+    comma = newline - n_ts - 1
+    out[comma] = _COMMA
+    _write_digits(out, newline - 1, ts)
+    _write_digits(out, comma - 1, ch)
+    return out.tobytes()
+
+
+def _parse_fields(digits: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """uint64 values of the decimal fields digits[stop - width:stop]."""
+    if len(width) and (width.min() < 1 or width.max() > _CSV_MAX_DIGITS):
+        raise ValueError(f"CSV fields must have 1 to {_CSV_MAX_DIGITS} digits")
+    acc = np.zeros(len(stop), dtype=np.uint64)
+    for k in range(int(width.max(initial=0))):
+        # Gather one digit per field before widening: 19 digits fit in uint64.
+        d = np.take(digits, stop - 1 - k, mode="clip")
+        acc += np.where(width > k, d, 0) * _POW10[k]
+    return acc
+
+
+def _csv_decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    head = len(_CSV_HEADER)
+    if data[:head] != _CSV_HEADER or data[head : head + 1] not in (b"", b"\n"):
+        raise ValueError("not a tag stream CSV: missing header")
+    body = np.frombuffer(data, dtype=np.uint8, offset=min(head + 1, len(data)))
+    # Digits become 0..9; every other byte wraps to a value above 9.
+    digits = body - _ZERO
+    newline, comma = np.flatnonzero(body == _NEWLINE), np.flatnonzero(body == _COMMA)
+    if np.count_nonzero(digits > 9) != len(newline) + len(comma):
+        raise ValueError("tag stream CSV holds a byte other than 0-9, ',' and newline")
+    if len(body) and body[-1] != _NEWLINE:
+        newline = np.append(newline, len(body))
+    start = np.concatenate(([0], newline[:-1] + 1))
+    rows = newline > start
+    start, newline = start[rows], newline[rows]
+    # As many commas as rows; _parse_fields then refuses an empty field, so
+    # every comma lies inside its own row.
+    if len(comma) != len(newline):
+        raise ValueError("tag stream CSV rows must have exactly two columns")
+    channels = _parse_fields(digits, comma, comma - start)
+    timestamps = _parse_fields(digits, newline, newline - comma - 1)
+    # A timestamp past 2^63 - 1 wraps negative here, which TagStream refuses.
+    return channels, timestamps.astype(np.int64)
 
 
 def tags_to_bytes(stream: TagStream, fmt: str = "binary") -> bytes:
@@ -463,12 +545,7 @@ def tags_to_bytes(stream: TagStream, fmt: str = "binary") -> bytes:
         records["ts"] = stream.timestamps_ps.astype(np.uint64)
         return header + records.tobytes()
     if fmt == "csv":
-        lines = ["channel,timestamp_ps"]
-        lines.extend(
-            f"{int(c)},{int(t)}"
-            for c, t in zip(stream.channels.tolist(), stream.timestamps_ps.tolist())
-        )
-        return ("\n".join(lines) + "\n").encode()
+        return _csv_encode(stream)
     raise ValueError(f"unknown tag stream format {fmt!r}")
 
 
@@ -490,21 +567,11 @@ def tags_from_bytes(data: bytes, fmt: str = "binary", duration_s: float | None =
             channel_ids,
         )
     if fmt == "csv":
-        text = data.decode()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "channel,timestamp_ps":
-            raise ValueError("not a tag stream CSV: missing header")
-        ch, ts = [], []
-        for ln in lines[1:]:
-            c, t = ln.split(",")
-            ch.append(int(c))
-            ts.append(int(t))
-        channels = np.array(ch, dtype=np.int64)
-        timestamps = np.array(ts, dtype=np.int64)
+        channels, timestamps = _csv_decode(data)
         if duration_s is None:
             duration_s = (float(timestamps.max()) + 1.0) / 1e12 if len(timestamps) else 1.0
-        ids = tuple(sorted(set(ch))) if ch else STANDARD_CHANNELS
-        return TagStream(channels, timestamps, duration_s, ids)
+        ids = sorted(set(STANDARD_CHANNELS) | set(np.unique(channels).tolist()))
+        return TagStream(channels, timestamps, duration_s, tuple(ids))
     raise ValueError(f"unknown tag stream format {fmt!r}")
 
 

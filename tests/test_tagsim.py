@@ -11,6 +11,7 @@ from noonchip.detection import SPLITTER_TREE_DETECTION, pattern_probs
 from noonchip.fock import evolve
 from noonchip.sources import noon_mixed, noon_pure
 from noonchip.tagsim import (
+    STANDARD_CHANNELS,
     STANDARD_PAIRS,
     CoincidenceResult,
     TagSimConfig,
@@ -39,6 +40,97 @@ def config(**kw):
     )
     base.update(kw)
     return TagSimConfig(**base)
+
+
+CSV_HEADER = "channel,timestamp_ps"
+
+
+def csv_encode_loop(stream):
+    """The CSV writer as one f-string per record: the oracle for tags_to_bytes."""
+    lines = [CSV_HEADER]
+    lines.extend(
+        f"{int(c)},{int(t)}"
+        for c, t in zip(stream.channels.tolist(), stream.timestamps_ps.tolist())
+    )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def csv_decode_loop(data, duration_s=None):
+    """The CSV reader as a loop of str.split and int(): the oracle for tags_from_bytes.
+
+    It is more lenient than the reader's grammar (int() takes signs, spaces,
+    underscores and non-ASCII digits), and raises OverflowError for a
+    timestamp past 2^63 - 1.
+    """
+    lines = [ln for ln in data.decode().splitlines() if ln.strip()]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError("not a tag stream CSV: missing header")
+    ch, ts = [], []
+    for ln in lines[1:]:
+        c, t = ln.split(",")
+        ch.append(int(c))
+        ts.append(int(t))
+    channels = np.array(ch, dtype=np.int64)
+    timestamps = np.array(ts, dtype=np.int64)
+    if duration_s is None:
+        duration_s = (float(timestamps.max()) + 1.0) / 1e12 if len(timestamps) else 1.0
+    ids = tuple(sorted(set(STANDARD_CHANNELS) | set(ch)))
+    return TagStream(channels, timestamps, duration_s, ids)
+
+
+def same_stream(a, b):
+    return (
+        np.array_equal(a.channels, b.channels)
+        and np.array_equal(a.timestamps_ps, b.timestamps_ps)
+        and a.timestamps_ps.dtype == b.timestamps_ps.dtype
+        and (a.duration_s, a.channel_ids) == (b.duration_s, b.channel_ids)
+    )
+
+
+# Records of decimal fields of 1 to 19 digits, leading zeros included; the
+# channel is kept to 0..255 so that many bodies are valid streams.
+_CSV_RECORD = st.builds(
+    "{}{},{}".format,
+    st.integers(0, 16).map("0".__mul__),
+    st.integers(0, 255),
+    st.text("0123456789", min_size=1, max_size=19),
+)
+# Zero to three fields, possibly empty: an empty line, a wrong or the right column count.
+_CSV_LINE = st.lists(st.text("0123456789", max_size=19), max_size=3).map(",".join)
+
+
+@st.composite
+def csv_bodies(draw):
+    """Record lines, often in timestamp order, plus at most one arbitrary line."""
+    lines = draw(st.lists(_CSV_RECORD, max_size=6))
+    if draw(st.booleans()):
+        lines.sort(key=lambda ln: int(ln.split(",")[1]))
+    extra = draw(st.none() | _CSV_LINE)
+    if extra is not None:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@st.composite
+def mutated_csv_headers(draw):
+    """The CSV header with one byte replaced or deleted."""
+    header = CSV_HEADER.encode()
+    i = draw(st.integers(0, len(header) - 1))
+    if draw(st.booleans()):
+        return header[:i] + header[i + 1 :]
+    byte = draw(st.integers(0, 255).filter(lambda b: b != header[i]))
+    return header[:i] + bytes([byte]) + header[i + 1 :]
+
+
+def assert_csv_reader_agrees_with_loop(data):
+    """Both readers accept with equal streams, or both reject (ValueError here)."""
+    try:
+        want = csv_decode_loop(data)
+    except (ValueError, OverflowError):
+        with pytest.raises(ValueError):
+            tags_from_bytes(data, fmt="csv")
+    else:
+        assert same_stream(tags_from_bytes(data, fmt="csv"), want)
 
 
 class TestGenerateTags:
@@ -116,6 +208,12 @@ class TestGenerateTags:
     def test_non_finite_or_bool_input_rejected(self, bad):
         with pytest.raises(ValueError):
             config(**bad)
+
+    def test_duration_beyond_int64_picoseconds_rejected(self):
+        # 2e7 s is 2e19 ps, past the 9.2e18 ps an int64 timestamp holds.
+        with pytest.raises(ValueError):
+            TagSimConfig(2e-6, (0, 1, 0), 2e7, 3)
+        assert TagSimConfig(2e-6, (0, 1, 0), 9e6, 3).duration_s == 9e6
 
 
 class TestCountCoincidences:
@@ -223,6 +321,12 @@ class TestCountCoincidences:
         with pytest.raises(ValueError):
             count_coincidences(stream, 0.0, [(0, 1)])
 
+    @pytest.mark.parametrize("window_ps", [math.nan, math.inf, -math.inf])
+    def test_window_must_be_finite(self, window_ps):
+        stream = generate_tags(config())
+        with pytest.raises(ValueError):
+            count_pattern_coincidences(stream, window_ps)
+
 
 class TestPatternConvergence:
     def test_fractions_match_analytic_model(self):
@@ -304,6 +408,9 @@ class TestStreamIO:
         back = read_tags(path, fmt="csv", duration_s=1.0)
         assert np.array_equal(back.channels, stream.channels)
         assert np.array_equal(back.timestamps_ps, stream.timestamps_ps)
+        data = path.read_bytes()
+        assert data == csv_encode_loop(stream)
+        assert same_stream(tags_from_bytes(data, fmt="csv"), csv_decode_loop(data))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
@@ -361,6 +468,101 @@ class TestStreamIO:
         with pytest.raises(ValueError):
             tags_from_bytes(b"channel,timestamp_ps\n300,5\n", fmt="csv")
 
+    def test_csv_round_trip_keeps_silent_detectors_countable(self):
+        # Only detectors 0 and 2 clicked; the reader must still know 1 and 3.
+        stream = TagStream(
+            np.array([0, 2, 0, 2], dtype=np.uint8), np.array([100, 100, 5000, 5010]), 1.0
+        )
+        back = tags_from_bytes(tags_to_bytes(stream, fmt="csv"), fmt="csv", duration_s=1.0)
+        want = count_pattern_coincidences(stream, 100.0)
+        got = count_pattern_coincidences(back, 100.0)
+        assert want.pattern_counts()["1a1b"] == 2
+        assert got.pair_counts == want.pair_counts
+        assert got.singles == want.singles
+        assert back.channel_ids == STANDARD_CHANNELS
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 255),
+                st.one_of(
+                    st.integers(0, 2**63 - 1),
+                    st.integers(1, 18).map(lambda k: 10**k),
+                    st.integers(1, 18).map(lambda k: 10**k - 1),
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    def test_csv_round_trips_any_stream(self, records):
+        records.sort(key=lambda r: r[1])
+        stream = TagStream(
+            np.array([c for c, _ in records], dtype=np.uint8),
+            np.array([t for _, t in records], dtype=np.int64),
+            1.0,
+            tuple(range(256)),
+        )
+        data = tags_to_bytes(stream, fmt="csv")
+        assert data == csv_encode_loop(stream)
+        back = tags_from_bytes(data, fmt="csv", duration_s=1.0)
+        assert np.array_equal(back.channels, stream.channels)
+        assert np.array_equal(back.timestamps_ps, stream.timestamps_ps)
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_bodies())
+    def test_csv_reader_agrees_with_loop_on_any_body(self, body):
+        assert_csv_reader_agrees_with_loop(f"{CSV_HEADER}\n{body}".encode())
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            "",
+            "\n",
+            "\n\n",
+            "\n1,5",
+            "\n\n1,5\n\n\n2,5\n",
+            "\n1",
+            "\n1,2,3",
+            "\n3,7\n,",
+            "\n3,7\n1",
+            "\n1,2,3\n4\n",
+            "0\n1,5\n",
+        ],
+    )
+    def test_csv_reader_agrees_with_loop_on_edge_bodies(self, tail):
+        assert_csv_reader_agrees_with_loop(f"{CSV_HEADER}{tail}".encode())
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_csv_headers(), csv_bodies())
+    def test_csv_reader_agrees_with_loop_on_a_mutated_header(self, header, body):
+        assert_csv_reader_agrees_with_loop(header + b"\n" + body.encode())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"{CSV_HEADER}\n{body}\n"
+            for body in (
+                " 1, 5",
+                "+1,5",
+                "1,5_0",
+                "1,5\r",
+                "1,\u0665",  # ARABIC-INDIC DIGIT FIVE
+                "1,00000000000000000005",
+                "1,99999999999999999999",
+            )
+        ]
+        + [f"\n{CSV_HEADER}\n1,5\n"],
+    )
+    def test_csv_reader_rejects_what_int_accepted(self, text):
+        data = text.encode()
+        try:
+            csv_decode_loop(data)
+        except OverflowError:
+            pass
+        with pytest.raises(ValueError):
+            tags_from_bytes(data, fmt="csv")
+
     def test_format_autodetect(self, tmp_path):
         stream = generate_tags(config(seed=37))
         p1 = tmp_path / "a.tags"
@@ -409,6 +611,10 @@ class TestStreamValidation:
                 np.array([100], dtype=np.int64),
                 duration_s=1.0,
             )
+
+    def test_timestamp_beyond_int64_rejected(self):
+        with pytest.raises(ValueError):
+            TagStream(np.array([0]), [2**63], 1.0)
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):
