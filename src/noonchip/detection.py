@@ -219,6 +219,9 @@ def fit_fringe(phases, values, frequency: float) -> VisibilityFit:
     """
     phases = np.asarray(phases, dtype=float)
     values = np.asarray(values, dtype=float)
+    _check_finite("frequency", frequency)
+    if not (frequency > 0 and np.isfinite(phases).all() and np.isfinite(values).all()):
+        raise ValueError("phases and values must be finite and frequency > 0")
     if phases.shape != values.shape or phases.ndim != 1:
         raise ValueError("phases and values must be 1-d arrays of equal length")
     if len(phases) < 5:

@@ -6,6 +6,10 @@ pattern and splitter-tree outcomes, thinned by per-mode transmission and
 per-detector efficiency, jittered, and merged with per-channel Poisson dark
 counts.  Timestamps are integer picoseconds.
 
+Coincidences of every detector pair come from one split of the stream at
+each gap wider than window/2, which no match of the greedy walk crosses in
+any pair's sub-stream; a self pair (c, c) counts singles[c].
+
 Randomness comes from numpy's PCG64 generator seeded with the configured
 seed; the draw order is fixed (pair count, pair times, pattern, two routing
 draws, two mode-transmission draws, two detector-efficiency draws, two
@@ -82,10 +86,13 @@ class TagStream:
     def __post_init__(self):
         ch = _as_uint8("channels", self.channels)
         ids = tuple(_as_uint8("channel ids", self.channel_ids).tolist())
-        try:
-            ts = np.asarray(self.timestamps_ps, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError("timestamps must be below 2^63 ps") from exc
+        raw = np.asarray(self.timestamps_ps)
+        if raw.dtype.kind not in "iu":
+            # Float (or past-uint64 object) stamps: check before the cast truncates them.
+            f = raw.astype(np.float64)
+            if not np.all((f == np.floor(f)) & (np.abs(f) < 2.0**63)):
+                raise ValueError("timestamps must be integers below 2^63 ps")
+        ts = raw.astype(np.int64, copy=False)
         if ch.shape != ts.shape or ch.ndim != 1:
             raise ValueError("channels and timestamps must be 1-d arrays of equal length")
         # Non-decreasing from a non-negative first stamp keeps every stamp >= 0,
@@ -105,16 +112,8 @@ class TagStream:
         return len(self.timestamps_ps)
 
     def singles(self) -> dict[int, int]:
-        counts = {c: 0 for c in self.channel_ids}
-        values, n = np.unique(self.channels, return_counts=True)
-        for c, k in zip(values.tolist(), n.tolist()):
-            counts[int(c)] = int(k)
-        return counts
-
-    def channel_timestamps(self, channel: int) -> np.ndarray:
-        if channel not in self.channel_ids:
-            raise ValueError(f"unknown channel id {channel}")
-        return self.timestamps_ps[self.channels == channel]
+        counts = np.bincount(self.channels, minlength=256)
+        return {c: int(counts[c]) for c in self.channel_ids}
 
 
 @dataclass(frozen=True)
@@ -250,30 +249,6 @@ def _greedy_walk(a: list[int], b: list[int], half_width: float) -> int:
     return matched
 
 
-def _match_sorted(a: np.ndarray, b: np.ndarray, half_width: float) -> int:
-    """_greedy_walk(a, b, half_width) on sorted timestamp arrays, in numpy.
-
-    No tag can match, or make the walk defer to, a tag more than half_width
-    away, so the walk splits at every wider gap of the merged stream.  A
-    two-tag cluster is one coincidence when its tags are on different
-    channels; only larger clusters are walked.
-    """
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    pos = np.searchsorted(a, b, side="right") + np.arange(len(b))
-    is_b = np.zeros(len(a) + len(b), dtype=bool)
-    is_b[pos] = True
-    merged = np.empty(len(is_b), dtype=np.int64)
-    merged[pos], merged[~is_b] = b, a
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(merged) > half_width) + 1))
-    sizes = np.diff(starts, append=len(merged))
-    two = starts[sizes == 2]
-    matched = int(np.count_nonzero(is_b[two] != is_b[two + 1]))
-    for s, e in zip(starts[sizes > 2].tolist(), (starts + sizes)[sizes > 2].tolist()):
-        t, side = merged[s:e], is_b[s:e]
-        matched += _greedy_walk(t[~side].tolist(), t[side].tolist(), half_width)
-    return matched
-
-
 @dataclass(frozen=True)
 class CoincidenceResult:
     """Windowed coincidence counts with singles and accidental estimates.
@@ -305,22 +280,39 @@ def count_coincidences(stream: TagStream, window_ps: float, pairs) -> Coincidenc
     """Count coincidences where two channels click within +/- window/2.
 
     Greedy nearest-match pairing per channel pair (see _greedy_walk); each
-    tag is consumed at most once per pair.
+    tag is consumed at most once per pair.  The stream is split once at every
+    gap wider than window/2, which no match or deferral of the walk crosses:
+    two-tag clusters are counted for all pairs at once, and only the tags of
+    larger clusters are walked.  A self pair (c, c) counts singles[c], as the
+    walk of a list against itself does.
     """
     _check_finite("window", window_ps)
     if window_ps <= 0:
         raise ValueError("window must be > 0")
     singles = stream.singles()
-    per_channel = {c: stream.channel_timestamps(c) for c in stream.channel_ids}
     half = window_ps / 2.0
+    ch, ts = stream.channels, stream.timestamps_ps
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(ts) > half) + 1, [len(ts)]))
+    sizes = np.diff(bounds)
+    two = bounds[:-1][sizes == 2]
+    lo, hi = np.minimum(ch[two], ch[two + 1]), np.maximum(ch[two], ch[two + 1])
+    two_tag = np.bincount(lo.astype(np.intp) * 256 + hi, minlength=256 * 256).reshape(256, 256)
+    # Walking the larger clusters' concatenation equals walking each alone.
+    big = np.repeat(sizes > 2, sizes)
+    ch_big, ts_big = ch[big], ts[big]
     pair_counts: dict[tuple[int, int], int] = {}
     pair_acc: dict[tuple[int, int], float] = {}
     for c1, c2 in pairs:
         for c in (c1, c2):
-            if c not in per_channel:
+            _check_index("channel id", c)
+            if c not in stream.channel_ids:
                 raise ValueError(f"unknown channel id {c}")
         key = (int(c1), int(c2))
-        pair_counts[key] = _match_sorted(per_channel[c1], per_channel[c2], half)
+        if c1 == c2:
+            pair_counts[key] = singles[c1]
+        else:
+            a, b = ts_big[ch_big == c1].tolist(), ts_big[ch_big == c2].tolist()
+            pair_counts[key] = int(two_tag[min(key), max(key)]) + _greedy_walk(a, b, half)
         pair_acc[key] = singles[c1] * singles[c2] * (window_ps * 1e-12) / stream.duration_s
     return CoincidenceResult(
         window_ps=window_ps,
@@ -404,6 +396,8 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
     if len(scans) < 5:
         raise ValueError("need at least 5 phase points")
     phases = np.array([p for p, _ in scans], dtype=float)
+    if not np.isfinite(phases).all():
+        raise ValueError("phases must be finite")
     labels = [p.label for p in DETECTION_PATTERNS]
     raw = np.zeros((len(scans), 3))
     corrected = np.zeros((len(scans), 3))

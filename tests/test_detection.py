@@ -196,6 +196,25 @@ class TestVisibilityFit:
         with pytest.raises(ValueError):
             fit_fringe(phi, np.sin(phi) ** 2, frequency=2.0)
 
+    @pytest.mark.parametrize(
+        "phase, value, frequency",
+        [
+            (0.0, math.nan, 2.0),
+            (math.nan, 0.5, 2.0),
+            (0.0, 0.5, math.nan),
+            (0.0, 0.5, math.inf),
+            (0.0, 0.5, 0.0),
+            (0.0, 0.5, -2.0),
+        ],
+    )
+    def test_non_finite_input_or_frequency_not_positive_rejected(self, phase, value, frequency):
+        # Before: an all-NaN fit, LinAlgError (a ValueError, hence the match),
+        # ZeroDivisionError, or for -2 a fit that skipped the span check.
+        phi, values = PHI.copy(), np.sin(PHI) ** 2
+        phi[7], values[11] = phi[7] + phase, values[11] + value
+        with pytest.raises(ValueError, match="must be"):
+            fit_fringe(phi, values, frequency=frequency)
+
 
 class TestFringeLaws:
     def test_period_is_half_turn(self):

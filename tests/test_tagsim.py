@@ -17,7 +17,6 @@ from noonchip.tagsim import (
     TagSimConfig,
     TagStream,
     _greedy_walk,
-    _match_sorted,
     count_coincidences,
     count_pattern_coincidences,
     fringe_from_tags,
@@ -216,6 +215,15 @@ class TestGenerateTags:
         assert TagSimConfig(2e-6, (0, 1, 0), 9e6, 3).duration_s == 9e6
 
 
+def assert_counts_equal_greedy_walk(stream, window_ps):
+    """count_coincidences equals a per-pair _greedy_walk over each channel's full list."""
+    pairs = STANDARD_PAIRS + ((2, 0), (1, 1))
+    got = count_coincidences(stream, window_ps, pairs).pair_counts
+    per_channel = {c: stream.timestamps_ps[stream.channels == c].tolist() for c in STANDARD_CHANNELS}
+    want = {(a, b): _greedy_walk(per_channel[a], per_channel[b], window_ps / 2) for a, b in pairs}
+    assert got == want
+
+
 class TestCountCoincidences:
     def test_identical_timestamps_all_coincide(self):
         ts = np.arange(0, 10_000_000, 1000, dtype=np.int64)
@@ -250,27 +258,31 @@ class TestCountCoincidences:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.integers(0, 60), max_size=40),
-        st.lists(st.integers(0, 60), max_size=40),
-        st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0, 10.0, 100.0]),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 60)), max_size=60),
+        st.sampled_from([0.25, 0.5, 1.0, 2.5, 4.0, 10.0, 100.0]),
     )
-    def test_matcher_equals_greedy_walk(self, a, b, half_width):
-        # Dense small-integer stamps give ties, chains and flanking tags.
-        a, b = sorted(a), sorted(b)
-        want = _greedy_walk(a, b, half_width)
-        assert _match_sorted(np.array(a, np.int64), np.array(b, np.int64), half_width) == want
+    def test_counts_equal_greedy_walk_on_dense_streams(self, records, half_width):
+        # Dense small-integer stamps give ties, chains, flanking tags and
+        # mixed-channel clusters; ties keep their drawn channel order.
+        records = sorted(records, key=lambda r: r[1])
+        ch = np.array([c for c, _ in records], dtype=np.uint8)
+        ts = np.array([t for _, t in records], dtype=np.int64)
+        assert_counts_equal_greedy_walk(TagStream(ch, ts, duration_s=1.0), 2 * half_width)
 
-    def test_matcher_equals_greedy_walk_on_noisy_streams(self):
+    def test_counts_equal_greedy_walk_on_noisy_streams(self):
         cfg = config(
             pair_rate_hz=2e5, pattern_probs=(0.3, 0.4, 0.3), duration_s=0.05,
             dark_rate_hz=2e5, jitter_sigma_ps=300.0,
         )
         stream = generate_tags(cfg)
         for window in (10.0, 1000.0, 1e5):
-            for c1, c2 in STANDARD_PAIRS + ((1, 1),):
-                a, b = stream.channel_timestamps(c1), stream.channel_timestamps(c2)
-                want = _greedy_walk(a.tolist(), b.tolist(), window / 2)
-                assert _match_sorted(a, b, window / 2) == want
+            assert_counts_equal_greedy_walk(stream, window)
+
+    @pytest.mark.parametrize("records", [[], [(2, 7)]])
+    def test_counts_equal_greedy_walk_on_empty_and_one_record_streams(self, records):
+        ch = np.array([c for c, _ in records], dtype=np.uint8)
+        ts = np.array([t for _, t in records], dtype=np.int64)
+        assert_counts_equal_greedy_walk(TagStream(ch, ts, duration_s=1.0), 100.0)
 
     def test_window_edges(self):
         stream = TagStream(
@@ -315,6 +327,19 @@ class TestCountCoincidences:
         stream = generate_tags(config())
         with pytest.raises(ValueError):
             count_coincidences(stream, 1000.0, [(0, 9)])
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5, -1, "1"])
+    def test_non_integer_channel_id_rejected(self, bad):
+        # True and 1.0 were counted as channel 1 before.
+        stream = generate_tags(config())
+        with pytest.raises(ValueError):
+            count_coincidences(stream, 1000.0, [(0, bad)])
+
+    def test_numpy_integer_channel_ids_accepted(self):
+        stream = generate_tags(config(pattern_probs=(0.5, 0.0, 0.5)))
+        want = count_coincidences(stream, 1000.0, [(0, 1)]).pair_counts[(0, 1)]
+        got = count_coincidences(stream, 1000.0, [(np.int64(0), np.uint8(1))])
+        assert got.pair_counts == {(0, 1): want} and want > 0
 
     def test_window_must_be_positive(self):
         stream = generate_tags(config())
@@ -388,6 +413,29 @@ class TestFringeFromTags:
     def test_requires_phase_points(self):
         with pytest.raises(ValueError):
             fringe_from_tags(self.scans()[:3], window_ps=100.0)
+
+    def test_zero_rate_point_is_flagged_insufficient(self):
+        scans = self.scans(purity=0.9, pairs_per_point=4_000)
+        empty = generate_tags(config(pair_rate_hz=0.0, seed=7))
+        assert len(empty) == 0
+        scans[5] = (scans[5][0], empty)
+        est = fringe_from_tags(scans, window_ps=100.0)
+        assert est.insufficient
+        for lab in est.fractions:
+            assert est.sigmas[lab][5] == 1.0
+            assert est.fractions[lab][5] == 0.0
+            assert est.fractions_corrected[lab][5] == 0.0
+        for fit in list(est.fits.values()) + list(est.fits_corrected.values()):
+            assert all(math.isfinite(v) for v in (fit.visibility, fit.offset, fit.amplitude, fit.phase))
+        assert all(math.isfinite(v) for v in est.visibility_sigma.values())
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        scans = self.scans(pairs_per_point=100)
+        scans[3] = (phase, scans[3][1])
+        # Not the LinAlgError (a ValueError) of the fit after counting.
+        with pytest.raises(ValueError, match="phases must be finite"):
+            fringe_from_tags(scans, window_ps=100.0)
 
 
 class TestStreamIO:
@@ -615,6 +663,17 @@ class TestStreamValidation:
     def test_timestamp_beyond_int64_rejected(self):
         with pytest.raises(ValueError):
             TagStream(np.array([0]), [2**63], 1.0)
+
+    @pytest.mark.parametrize("stamp", [1.5, math.nan, math.inf])
+    def test_non_integer_timestamp_rejected(self, stamp):
+        # 1.5 was truncated to 1 by the int64 cast; NaN and inf warned in it.
+        with pytest.raises(ValueError):
+            TagStream(np.array([0, 1]), np.array([0.0, stamp]), 1.0)
+
+    def test_integer_valued_float_timestamps_accepted(self):
+        stream = TagStream(np.array([0, 1]), np.array([0.0, 7.0]), 1.0)
+        assert stream.timestamps_ps.dtype == np.int64
+        assert stream.timestamps_ps.tolist() == [0, 7]
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):
