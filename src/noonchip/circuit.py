@@ -38,7 +38,9 @@ __all__ = [
 
 
 class _Element:
-    """Shared layout: distinct integer mode fields, then one finite parameter."""
+    """Shared layout: distinct integer mode fields, then one finite parameter in _param_range."""
+
+    _param_range = (-math.inf, math.inf)
 
     def _layout(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
@@ -49,7 +51,7 @@ class _Element:
             _check_index("mode", m)
         if len(set(modes)) != len(modes):
             raise ValueError(f"{self.kind} modes must be distinct")
-        _check_finite(fields(self)[-1].name, param)
+        _check_finite(fields(self)[-1].name, param, *self._param_range)
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,7 @@ class Loss(_Element):
     transmission: float = 1.0
 
     kind = "loss"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError("transmission must lie in [0, 1]")
+    _param_range = (0.0, 1.0)
 
 
 Element = PhaseShifter | Coupler | Loss
@@ -165,9 +163,7 @@ def compose(spec: CircuitSpec) -> tuple[ModeUnitary, np.ndarray]:
 
 def power_to_phase(cal: ThermoOpticCalibration, electrical_power_mw: float) -> float:
     """Heater phase at the given electrical drive power."""
-    _check_finite("electrical power", electrical_power_mw)
-    if electrical_power_mw < 0:
-        raise ValueError("electrical power must be >= 0")
+    _check_finite("electrical power", electrical_power_mw, low=0.0)
     return cal.theta0 + cal.rad_per_mw * electrical_power_mw
 
 

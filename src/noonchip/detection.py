@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fock import DensityMatrix, PureState, _check_finite, enumerate_sectors
+from .fock import DensityMatrix, PureState, _check_finite, _check_positive, enumerate_sectors
 
 __all__ = [
     "DetectionPattern",
@@ -78,9 +78,7 @@ class LossSpec:
     def __post_init__(self):
         for breakdown in (self.breakdown_a_db, self.breakdown_b_db):
             for name, value in breakdown.items():
-                _check_finite(f"loss entry {name!r}", value)
-                if value < 0:
-                    raise ValueError(f"loss entry {name!r} must be >= 0 dB")
+                _check_finite(f"loss entry {name!r} (dB)", value, low=0.0)
 
     @property
     def total_a_db(self) -> float:
@@ -114,9 +112,8 @@ def apply_loss(rho: DensityMatrix, eta_a: float, eta_b: float) -> DensityMatrix:
     basis spans all photon-number sectors from the input maximum down to
     vacuum; the trace is preserved.
     """
-    for eta in (eta_a, eta_b):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError("transmission must lie in [0, 1]")
+    _check_finite("transmission a", eta_a, 0.0, 1.0)
+    _check_finite("transmission b", eta_b, 0.0, 1.0)
     if rho.mode_count != 2:
         raise ValueError("loss channel is defined for the two-mode device")
 
@@ -148,8 +145,6 @@ def pattern_probs(state: DensityMatrix | PureState) -> np.ndarray:
     The state may span several photon-number sectors (after loss); the
     result then sums to the two-photon sector weight rather than one.
     """
-    if isinstance(state, PureState):
-        state = state.to_density()
     diag = state.probabilities()
     index = {occ: i for i, occ in enumerate(state.basis)}
     probs = np.zeros(3)
@@ -219,9 +214,9 @@ def fit_fringe(phases, values, frequency: float) -> VisibilityFit:
     """
     phases = np.asarray(phases, dtype=float)
     values = np.asarray(values, dtype=float)
-    _check_finite("frequency", frequency)
-    if not (frequency > 0 and np.isfinite(phases).all() and np.isfinite(values).all()):
-        raise ValueError("phases and values must be finite and frequency > 0")
+    _check_positive("frequency", frequency)
+    if not (np.isfinite(phases).all() and np.isfinite(values).all()):
+        raise ValueError("phases and values must be finite")
     if phases.shape != values.shape or phases.ndim != 1:
         raise ValueError("phases and values must be 1-d arrays of equal length")
     if len(phases) < 5:
@@ -252,11 +247,7 @@ def loss_budget(
     Both photons of a pair attenuate independently, so the detected rate is
     scaled back up by the squared transmission before dividing by pump.
     """
-    _check_finite("detected pair rate", detected_pairs_per_s)
-    _check_finite("per-photon loss", per_photon_loss_db)
-    _check_finite("pump power", pump_mw)
-    if detected_pairs_per_s < 0 or per_photon_loss_db < 0:
-        raise ValueError("rate and loss must be >= 0")
-    if pump_mw <= 0:
-        raise ValueError("pump power must be > 0 to infer brightness")
+    _check_finite("detected pair rate", detected_pairs_per_s, low=0.0)
+    _check_finite("per-photon loss", per_photon_loss_db, low=0.0)
+    _check_positive("pump power", pump_mw)
     return detected_pairs_per_s * 10.0 ** (2.0 * per_photon_loss_db / 10.0) / pump_mw

@@ -44,10 +44,34 @@ def _check_index(name: str, value, low: int = 0) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def _check_finite(name: str, value) -> None:
+def _check_finite(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """The value as a float, if it is a finite real number (not a bool) in [low, high]."""
     x = value.item() if isinstance(value, np.generic) else value
     if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not low <= x <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value!r}")
+    return float(x)
+
+
+def _check_positive(name: str, value) -> float:
+    x = _check_finite(name, value)
+    if x <= 0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+    return x
+
+
+def _check_floats(
+    name: str, values, count: int, low: float = -math.inf, high: float = math.inf
+) -> tuple[float, ...]:
+    """`count` checked floats from an iterable, each finite and in [low, high]."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be {count} numbers, got {values!r}") from None
+    if len(values) != count:
+        raise ValueError(f"{name} must be {count} numbers, got {len(values)}")
+    return tuple(_check_finite(name, v, low, high) for v in values)
 
 
 def enumerate_basis(mode_count: int, photon_number: int) -> list[Occupation]:
@@ -71,6 +95,7 @@ def enumerate_basis(mode_count: int, photon_number: int) -> list[Occupation]:
 
 def enumerate_sectors(mode_count: int, max_photon_number: int) -> list[Occupation]:
     """Concatenated bases for photon numbers max_photon_number down to 0."""
+    _check_index("max_photon_number", max_photon_number)
     out: list[Occupation] = []
     for n in range(max_photon_number, -1, -1):
         out.extend(enumerate_basis(mode_count, n))

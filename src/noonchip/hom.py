@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import _check_finite, _check_positive
 from .sources import _SINC_HALF_X, SpectrumSpec
 
 __all__ = [
@@ -53,14 +54,11 @@ class HomScanSpec:
     baseline_visibility: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.delay_min_fs, self.delay_max_fs, self.delay_step_fs))):
-            raise ValueError("delay range and step must be finite")
-        if self.delay_step_fs <= 0:
-            raise ValueError("delay step must be > 0")
-        if self.delay_max_fs <= self.delay_min_fs:
+        delay_min = _check_finite("delay min", self.delay_min_fs)
+        if _check_finite("delay max", self.delay_max_fs) <= delay_min:
             raise ValueError("delay range must be non-empty")
-        if not 0.0 <= self.baseline_visibility <= 1.0:
-            raise ValueError("baseline visibility must lie in [0, 1]")
+        _check_positive("delay step", self.delay_step_fs)
+        _check_finite("baseline visibility", self.baseline_visibility, 0.0, 1.0)
 
     def delays_fs(self) -> np.ndarray:
         n = int(math.floor((self.delay_max_fs - self.delay_min_fs) / self.delay_step_fs)) + 1
@@ -112,7 +110,6 @@ def bandwidth_from_dip(width_fs: float, shape: str = "gaussian", center_nm: floa
     functions round-trip to rounding error.  Wider dips correspond to
     narrower spectra.
     """
-    if not (math.isfinite(width_fs) and width_fs > 0):
-        raise ValueError("dip width must be finite and > 0")
+    _check_positive("dip width", width_fs)
     unit = SpectrumSpec(center_nm=center_nm, fwhm_nm=1.0, shape=shape)
     return dip_fwhm(HomScanSpec(spectrum=unit)) / width_fs

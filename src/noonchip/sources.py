@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, PureState, _check_finite, enumerate_basis
+from .fock import DensityMatrix, PureState, _check_finite, _check_positive, enumerate_basis
 
 __all__ = [
     "TWO_PHOTON_BASIS",
@@ -48,10 +48,8 @@ class SpectrumSpec:
     shape: str = "gaussian"
 
     def __post_init__(self):
-        if not (math.isfinite(self.center_nm) and self.center_nm > 0):
-            raise ValueError("center wavelength must be finite and > 0")
-        if not (math.isfinite(self.fwhm_nm) and self.fwhm_nm > 0):
-            raise ValueError("bandwidth must be finite and > 0")
+        _check_positive("center wavelength", self.center_nm)
+        _check_positive("bandwidth", self.fwhm_nm)
         if self.shape not in ("gaussian", "sinc2"):
             raise ValueError("shape must be 'gaussian' or 'sinc2'")
 
@@ -82,10 +80,8 @@ class SourceRateSpec:
     pump_mw: float
 
     def __post_init__(self):
-        _check_finite("brightness", self.brightness_pairs_per_s_per_mw)
-        _check_finite("pump power", self.pump_mw)
-        if self.brightness_pairs_per_s_per_mw < 0 or self.pump_mw < 0:
-            raise ValueError("brightness and pump power must be >= 0")
+        _check_finite("brightness", self.brightness_pairs_per_s_per_mw, low=0.0)
+        _check_finite("pump power", self.pump_mw, low=0.0)
 
 
 def noon_pure(balance: float, phase: float) -> PureState:
@@ -94,8 +90,8 @@ def noon_pure(balance: float, phase: float) -> PureState:
     The doubled phase reflects two photons sharing each path; balance 0
     reduces to pumping a single source (|0,2> only).
     """
-    if not 0.0 <= balance <= 1.0:
-        raise ValueError("balance must lie in [0, 1]")
+    _check_finite("balance", balance, 0.0, 1.0)
+    _check_finite("phase", phase)
     amps = np.array(
         [
             math.sqrt(balance),
@@ -115,11 +111,9 @@ def noon_mixed(balance: float, phase: float, purity: float) -> DensityMatrix:
     pure at purity 1 and fully dephased at purity 0.  Positive semidefinite
     and trace one for all parameters in range.
     """
-    if not 0.0 <= balance <= 1.0:
-        raise ValueError("balance must lie in [0, 1]")
-    if not 0.0 <= purity <= 1.0:
-        raise ValueError("purity must lie in [0, 1]")
-    b = balance
+    b = _check_finite("balance", balance, 0.0, 1.0)
+    _check_finite("phase", phase)
+    _check_finite("purity", purity, 0.0, 1.0)
     coherence = purity * math.sqrt(b * (1.0 - b)) * np.exp(-2j * phase)
     rho = np.array(
         [

@@ -11,10 +11,11 @@ each gap wider than window/2, which no match of the greedy walk crosses in
 any pair's sub-stream; a self pair (c, c) counts singles[c].
 
 Randomness comes from numpy's PCG64 generator seeded with the configured
-seed; the draw order is fixed (pair count, pair times, pattern, two routing
-draws, two mode-transmission draws, two detector-efficiency draws, two
-jitter draws, then dark counts per channel in ascending channel order), so
-a given config reproduces a bit-identical stream.
+seed; the draw order is fixed (pair count, pair times, pattern, photon 1's
+then photon 2's routing draw, photon 1's mode-transmission then
+detector-efficiency draw, the same two for photon 2, photon 1's then
+photon 2's jitter draw, then for each channel in ascending order its dark
+count and dark times), so a given config reproduces a bit-identical stream.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .detection import (
     fit_fringe,
     invert_splitter_tree,
 )
-from .fock import _check_finite, _check_index
+from .fock import _check_finite, _check_floats, _check_index, _check_positive
 
 __all__ = [
     "TagStream",
@@ -69,7 +70,7 @@ def _as_uint8(name: str, values) -> np.ndarray:
     if not np.all((raw >= 0) & (raw <= 255)):
         raise ValueError(f"{name} must lie in 0..255")
     out = raw.astype(np.uint8, copy=False)
-    if not np.array_equal(out, raw):
+    if raw.dtype.kind == "b" or not np.array_equal(out, raw):
         raise ValueError(f"{name} must be integers")
     return out
 
@@ -88,22 +89,22 @@ class TagStream:
         ids = tuple(_as_uint8("channel ids", self.channel_ids).tolist())
         raw = np.asarray(self.timestamps_ps)
         if raw.dtype.kind not in "iu":
-            # Float (or past-uint64 object) stamps: check before the cast truncates them.
+            # Bool, float (or past-uint64 object) stamps: check before the cast truncates them.
             f = raw.astype(np.float64)
-            if not np.all((f == np.floor(f)) & (np.abs(f) < 2.0**63)):
+            if raw.dtype.kind == "b" or not np.all((f == np.floor(f)) & (np.abs(f) < 2.0**63)):
                 raise ValueError("timestamps must be integers below 2^63 ps")
         ts = raw.astype(np.int64, copy=False)
         if ch.shape != ts.shape or ch.ndim != 1:
             raise ValueError("channels and timestamps must be 1-d arrays of equal length")
-        # Non-decreasing from a non-negative first stamp keeps every stamp >= 0,
-        # which also refuses a u64 stamp past 2^63 that wrapped in the int64 cast.
-        if len(ts) and (ts[0] < 0 or np.any(np.diff(ts) < 0)):
+        # Non-decreasing from a non-negative first stamp keeps every stamp >= 0, which
+        # also refuses a u64 stamp past 2^63 that wrapped in the int64 cast.  Neighbours
+        # are compared, not differenced: a difference can overflow int64.
+        if len(ts) and (ts[0] < 0 or np.any(ts[1:] < ts[:-1])):
             raise ValueError("timestamps must be non-negative and non-decreasing")
         unregistered = set(np.unique(ch).tolist()) - set(ids)
         if unregistered:
             raise ValueError(f"records reference unregistered channels {sorted(unregistered)}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError("duration must be finite and > 0")
+        _check_positive("duration", self.duration_s)
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "timestamps_ps", ts)
         object.__setattr__(self, "channel_ids", ids)
@@ -136,36 +137,20 @@ class TagSimConfig:
     jitter_sigma_ps: float = 0.0
 
     def __post_init__(self):
-        for name in ("pair_rate_hz", "duration_s", "jitter_sigma_ps"):
-            _check_finite(name, getattr(self, name))
+        _check_finite("pair_rate_hz", self.pair_rate_hz, low=0.0)
+        _check_finite("jitter_sigma_ps", self.jitter_sigma_ps, low=0.0)
         _check_index("seed", self.seed)
-        if self.pair_rate_hz < 0:
-            raise ValueError("pair rate must be >= 0")
-        probs = tuple(float(p) for p in self.pattern_probs)
-        for p in probs:
-            _check_finite("pattern probability", p)
-        if len(probs) != 3 or min(probs) < -1e-12 or sum(probs) > 1.0 + 1e-9:
+        probs = _check_floats("pattern_probs", self.pattern_probs, 3, low=-1e-12)
+        if sum(probs) > 1.0 + 1e-9:
             raise ValueError("pattern_probs must be three probabilities summing to <= 1")
-        if self.duration_s <= 0:
-            raise ValueError("duration must be > 0")
-        if self.duration_s * 1e12 >= 2**63:
+        if _check_positive("duration_s", self.duration_s) * 1e12 >= 2**63:
             raise ValueError("duration must be below 2^63 ps")
-        eff = tuple(float(e) for e in self.detector_efficiency)
-        if len(eff) != 4 or any(not 0.0 <= e <= 1.0 for e in eff):
-            raise ValueError("detector_efficiency must be four values in [0, 1]")
-        eta = tuple(float(t) for t in self.mode_transmission)
-        if len(eta) != 2 or any(not 0.0 <= t <= 1.0 for t in eta):
-            raise ValueError("mode_transmission must be two values in [0, 1]")
+        eff = _check_floats("detector_efficiency", self.detector_efficiency, 4, 0.0, 1.0)
+        eta = _check_floats("mode_transmission", self.mode_transmission, 2, 0.0, 1.0)
         dark = self.dark_rate_hz
         if isinstance(dark, (int, float)):
-            dark = (float(dark),) * 4
-        dark = tuple(float(d) for d in dark)
-        for d in dark:
-            _check_finite("dark rate", d)
-        if len(dark) != 4 or min(dark) < 0:
-            raise ValueError("dark_rate_hz must be four non-negative rates")
-        if self.jitter_sigma_ps < 0:
-            raise ValueError("jitter sigma must be >= 0")
+            dark = (dark,) * 4
+        dark = _check_floats("dark_rate_hz", dark, 4, low=0.0)
         object.__setattr__(self, "pattern_probs", probs)
         object.__setattr__(self, "detector_efficiency", eff)
         object.__setattr__(self, "mode_transmission", eta)
@@ -212,8 +197,8 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
         chunks_ch.append(np.full(n_dark, ch, dtype=np.uint8))
         chunks_ts.append(dark_ts)
 
-    channels = np.concatenate(chunks_ch) if chunks_ch else np.empty(0, np.uint8)
-    timestamps = np.concatenate(chunks_ts) if chunks_ts else np.empty(0, np.int64)
+    channels = np.concatenate(chunks_ch)
+    timestamps = np.concatenate(chunks_ts)
     in_range = (timestamps >= 0) & (timestamps < duration_ps)
     channels, timestamps = channels[in_range], timestamps[in_range]
     order = np.lexsort((channels, timestamps))
@@ -286,9 +271,7 @@ def count_coincidences(stream: TagStream, window_ps: float, pairs) -> Coincidenc
     larger clusters are walked.  A self pair (c, c) counts singles[c], as the
     walk of a list against itself does.
     """
-    _check_finite("window", window_ps)
-    if window_ps <= 0:
-        raise ValueError("window must be > 0")
+    _check_positive("window", window_ps)
     singles = stream.singles()
     half = window_ps / 2.0
     ch, ts = stream.channels, stream.timestamps_ps

@@ -1,4 +1,4 @@
-"""Packaging checks: declared dependencies, script entry points and ``__all__``."""
+"""Packaging checks: declared dependencies, script entry points, ``__all__`` and input checks."""
 
 import ast
 import importlib
@@ -62,3 +62,24 @@ def test_project_scripts_name_functions_defined_in_the_package():
 def test_every_name_in_all_is_bound(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def calls_math_isfinite(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "isfinite":
+            if isinstance(node.value, ast.Name) and node.value.id == "math":
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            if any(alias.name == "isfinite" for alias in node.names):
+                return True
+    return False
+
+
+def test_only_fock_checks_scalars_with_math_isfinite():
+    # Scalar inputs go through fock's shared checks; the others must not test them by hand.
+    offenders = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "fock.py" and calls_math_isfinite(path)
+    )
+    assert offenders == []

@@ -208,6 +208,45 @@ class TestGenerateTags:
         with pytest.raises(ValueError):
             config(**bad)
 
+    def test_draws_follow_the_documented_order(self):
+        # Rebuild a noisy, lossy stream from a bare PCG64 in the module docstring's order.
+        cfg = config(
+            pattern_probs=(0.3, 0.4, 0.2),
+            duration_s=0.1,
+            seed=2024,
+            detector_efficiency=(0.6, 0.9, 0.7, 0.8),
+            mode_transmission=(0.5, 0.8),
+            dark_rate_hz=(500.0, 800.0, 200.0, 400.0),
+            jitter_sigma_ps=40.0,
+        )
+        rng = np.random.Generator(np.random.PCG64(cfg.seed))
+        n = rng.poisson(cfg.pair_rate_hz * cfg.duration_s)
+        t_ps = np.sort(rng.random(n)) * cfg.duration_s * 1e12
+        pattern = np.searchsorted(np.cumsum(cfg.pattern_probs), rng.random(n), side="right")
+        modes = [np.where(pattern == 2, 1, 0), np.where(pattern == 0, 0, 1)]
+        detectors = [2 * mode + (rng.random(n) >= 0.5) for mode in modes]
+        kept = [
+            (pattern < 3)
+            & (rng.random(n) < np.take(cfg.mode_transmission, mode))
+            & (rng.random(n) < np.take(cfg.detector_efficiency, det))
+            for mode, det in zip(modes, detectors)
+        ]
+        stamps = [np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n)) for _ in modes]
+        channels = [det[keep] for det, keep in zip(detectors, kept)]
+        times = [ts[keep] for ts, keep in zip(stamps, kept)]
+        for ch, rate in enumerate(cfg.dark_rate_hz):
+            n_dark = rng.poisson(rate * cfg.duration_s)
+            channels.append(np.full(n_dark, ch))
+            times.append(np.rint(rng.random(n_dark) * cfg.duration_s * 1e12))
+        ch, ts = np.concatenate(channels), np.concatenate(times)
+        inside = (ts >= 0) & (ts < 1e11)
+        order = np.lexsort((ch[inside], ts[inside]))
+
+        stream = generate_tags(cfg)
+        assert len(stream) > 500
+        assert stream.channels.tolist() == ch[inside][order].tolist()
+        assert stream.timestamps_ps.tolist() == ts[inside][order].astype(np.int64).tolist()
+
     def test_duration_beyond_int64_picoseconds_rejected(self):
         # 2e7 s is 2e19 ps, past the 9.2e18 ps an int64 timestamp holds.
         with pytest.raises(ValueError):
@@ -678,6 +717,28 @@ class TestStreamValidation:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):
             TagStream(np.array([0]), np.array([-5]), 1.0)
+
+    def test_wrapped_u64_timestamp_after_a_large_one_rejected(self):
+        # 9.3e18 ps wraps to -9146744073709551616 in the int64 cast, and its
+        # int64 difference from 1e17 overflows to a positive value.
+        big, wrapped = 10**17, 9_300_000_000_000_000_000
+        with pytest.raises(ValueError):
+            tags_from_bytes(f"channel,timestamp_ps\n0,{big}\n0,{wrapped}\n".encode(), "csv")
+        data = tags_to_bytes(TagStream(np.array([0, 0]), np.array([0, 0]), 1.0), fmt="binary")
+        with pytest.raises(ValueError):
+            tags_from_bytes(data[:-18] + struct.pack("<BQBQ", 0, big, 0, wrapped), fmt="binary")
+        with pytest.raises(ValueError):
+            TagStream(np.array([0, 0]), np.array([big, wrapped], dtype=np.uint64), 1.0)
+
+    def test_boolean_channels_and_timestamps_rejected(self):
+        # Both casts read True as 1.
+        flags = np.array([False, True])
+        with pytest.raises(ValueError):
+            TagStream(flags, np.array([0, 1]), 1.0)
+        with pytest.raises(ValueError):
+            TagStream(np.array([0, 1]), flags, 1.0)
+        with pytest.raises(ValueError):
+            TagStream(np.array([0, 1]), np.array([0, 1]), 1.0, channel_ids=(False, True))
 
     def test_wrapped_u64_timestamp_rejected(self):
         # A stored 2^63 ps wraps to -2^63 in the reader's int64 cast.
