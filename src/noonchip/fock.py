@@ -39,9 +39,10 @@ PSD_ATOL = 1e-10
 Occupation = tuple[int, ...]
 
 
-def _check_index(name: str, value, low: int = 0) -> None:
+def _check_index(name: str, value, low: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _check_finite(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:

@@ -67,7 +67,11 @@ class HomScanSpec:
 
 def _overlap_envelope(tau_fs, spectrum: SpectrumSpec) -> np.ndarray:
     """g(tau): normalized cosine transform of the intensity spectrum, in closed form."""
-    tau_fs = np.abs(np.atleast_1d(np.asarray(tau_fs, dtype=float)))
+    tau = np.asarray(tau_fs)
+    # A dtype check, O(1): a float cast would read strings and bools as numbers.
+    if tau.dtype.kind not in "iuf":
+        raise ValueError(f"delay must be a real number, got dtype {tau.dtype}")
+    tau_fs = np.abs(np.atleast_1d(tau.astype(float, copy=False)))
     if np.isnan(tau_fs).any():
         raise ValueError("delay must not be NaN")
     width = spectrum.fwhm_angular_freq

@@ -16,6 +16,9 @@ then photon 2's routing draw, photon 1's mode-transmission then
 detector-efficiency draw, the same two for photon 2, photon 1's then
 photon 2's jitter draw, then for each channel in ascending order its dark
 count and dark times), so a given config reproduces a bit-identical stream.
+The two jitter draws are skipped only when the jitter is zero and every dark
+rate is zero: they would return only zeros, and nothing is drawn after them,
+so the stream is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -86,13 +89,14 @@ class TagStream:
 
     def __post_init__(self):
         ch = _as_uint8("channels", self.channels)
-        ids = tuple(_as_uint8("channel ids", self.channel_ids).tolist())
+        ids = [_check_index("channel id", c) for c in self.channel_ids]
+        ids = tuple(_as_uint8("channel ids", ids).tolist())
         raw = np.asarray(self.timestamps_ps)
-        if raw.dtype.kind not in "iu":
-            # Bool, float (or past-uint64 object) stamps: check before the cast truncates them.
-            f = raw.astype(np.float64)
-            if raw.dtype.kind == "b" or not np.all((f == np.floor(f)) & (np.abs(f) < 2.0**63)):
-                raise ValueError("timestamps must be integers below 2^63 ps")
+        # A cast would read bool, string and object stamps as numbers, and truncate floats.
+        if raw.dtype.kind not in "iuf":
+            raise ValueError(f"timestamps must be integers, got dtype {raw.dtype}")
+        if raw.dtype.kind == "f" and not np.all((raw == np.floor(raw)) & (abs(raw) < 2.0**63)):
+            raise ValueError("timestamps must be integers below 2^63 ps")
         ts = raw.astype(np.int64, copy=False)
         if ch.shape != ts.shape or ch.ndim != 1:
             raise ValueError("channels and timestamps must be 1-d arrays of equal length")
@@ -101,7 +105,7 @@ class TagStream:
         # are compared, not differenced: a difference can overflow int64.
         if len(ts) and (ts[0] < 0 or np.any(ts[1:] < ts[:-1])):
             raise ValueError("timestamps must be non-negative and non-decreasing")
-        unregistered = set(np.unique(ch).tolist()) - set(ids)
+        unregistered = set(np.flatnonzero(np.bincount(ch, minlength=256)).tolist()) - set(ids)
         if unregistered:
             raise ValueError(f"records reference unregistered channels {sorted(unregistered)}")
         _check_positive("duration", self.duration_s)
@@ -124,7 +128,9 @@ class TagSimConfig:
     pattern_probs is in the canonical pattern order ((2,0), (1,1), (0,2))
     and may sum to less than one; the deficit is treated as undetected
     pairs.  mode_transmission models the collection loss in each output arm
-    ahead of the splitter tree.
+    ahead of the splitter tree.  duration_s must stay below 2^61 ps (26.7
+    days), so that generate_tags can sort each record as one int64 key of
+    timestamp * 4 + channel.
     """
 
     pair_rate_hz: float
@@ -143,8 +149,8 @@ class TagSimConfig:
         probs = _check_floats("pattern_probs", self.pattern_probs, 3, low=-1e-12)
         if sum(probs) > 1.0 + 1e-9:
             raise ValueError("pattern_probs must be three probabilities summing to <= 1")
-        if _check_positive("duration_s", self.duration_s) * 1e12 >= 2**63:
-            raise ValueError("duration must be below 2^63 ps")
+        if _check_positive("duration_s", self.duration_s) * 1e12 >= 2**61:
+            raise ValueError("duration must be below 2^61 ps (26.7 days)")
         eff = _check_floats("detector_efficiency", self.detector_efficiency, 4, 0.0, 1.0)
         eta = _check_floats("mode_transmission", self.mode_transmission, 2, 0.0, 1.0)
         dark = self.dark_rate_hz
@@ -165,44 +171,46 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
     n_pairs = int(rng.poisson(cfg.pair_rate_hz * cfg.duration_s))
     t_pair = np.sort(rng.random(n_pairs)) * cfg.duration_s
 
-    cum = np.cumsum(cfg.pattern_probs)
-    pattern = np.searchsorted(cum, rng.random(n_pairs), side="right")
-    emitted = pattern < 3
+    # For a non-decreasing cum, u >= cum[k] is searchsorted(cum, u, "right") > k.
     # Photon modes per pattern: (2,0) -> both a, (1,1) -> one each, (0,2) -> both b.
-    mode1 = np.where(pattern == 2, 1, 0)
-    mode2 = np.where(pattern == 0, 0, 1)
+    u = rng.random(n_pairs)
+    cum = np.cumsum(cfg.pattern_probs)
+    mode1 = (u >= cum[1]).view(np.int8)
+    mode2 = (u >= cum[0]).view(np.int8)
+    emitted = u < cum[2]
 
-    route1 = (rng.random(n_pairs) >= 0.5).astype(np.int64)
-    route2 = (rng.random(n_pairs) >= 0.5).astype(np.int64)
-    det1 = 2 * mode1 + route1
-    det2 = 2 * mode2 + route2
+    det1 = 2 * mode1 + (rng.random(n_pairs) >= 0.5)
+    det2 = 2 * mode2 + (rng.random(n_pairs) >= 0.5)
 
     eta = np.asarray(cfg.mode_transmission)
     eff = np.asarray(cfg.detector_efficiency)
     keep1 = emitted & (rng.random(n_pairs) < eta[mode1]) & (rng.random(n_pairs) < eff[det1])
     keep2 = emitted & (rng.random(n_pairs) < eta[mode2]) & (rng.random(n_pairs) < eff[det2])
 
-    jit1 = rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs)
-    jit2 = rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs)
     t_ps = t_pair * 1e12
-    ts1 = np.rint(t_ps + jit1).astype(np.int64)[keep1]
-    ts2 = np.rint(t_ps + jit2).astype(np.int64)[keep2]
+    if cfg.jitter_sigma_ps > 0 or any(cfg.dark_rate_hz):
+        ts1 = np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs)).astype(np.int64)
+        ts2 = np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs)).astype(np.int64)
+    else:
+        # Both jitter draws would be all zero, and nothing is drawn after them.
+        ts1 = ts2 = np.rint(t_ps).astype(np.int64)
 
-    chunks_ch = [det1[keep1].astype(np.uint8), det2[keep2].astype(np.uint8)]
-    chunks_ts = [ts1, ts2]
+    chunks_ch = [det1[keep1], det2[keep2]]
+    chunks_ts = [ts1[keep1], ts2[keep2]]
 
     for ch in STANDARD_CHANNELS:
         n_dark = int(rng.poisson(cfg.dark_rate_hz[ch] * cfg.duration_s))
         dark_ts = np.rint(rng.random(n_dark) * cfg.duration_s * 1e12).astype(np.int64)
-        chunks_ch.append(np.full(n_dark, ch, dtype=np.uint8))
+        chunks_ch.append(np.full(n_dark, ch, dtype=np.int8))
         chunks_ts.append(dark_ts)
 
     channels = np.concatenate(chunks_ch)
     timestamps = np.concatenate(chunks_ts)
     in_range = (timestamps >= 0) & (timestamps < duration_ps)
-    channels, timestamps = channels[in_range], timestamps[in_range]
-    order = np.lexsort((channels, timestamps))
-    return TagStream(channels[order], timestamps[order], cfg.duration_s)
+    # One sort of timestamp * 4 + channel orders by time, then channel; equal
+    # keys are identical records.  Stamps below 2^61 keep the key in int64.
+    key = np.sort(timestamps[in_range] << 2 | channels[in_range])
+    return TagStream((key & 3).astype(np.uint8), key >> 2, cfg.duration_s)
 
 
 def _greedy_walk(a: list[int], b: list[int], half_width: float) -> int:
@@ -547,7 +555,10 @@ def tags_from_bytes(data: bytes, fmt: str = "binary", duration_s: float | None =
         channels, timestamps = _csv_decode(data)
         if duration_s is None:
             duration_s = (float(timestamps.max()) + 1.0) / 1e12 if len(timestamps) else 1.0
-        ids = sorted(set(STANDARD_CHANNELS) | set(np.unique(channels).tolist()))
+        # A bincount over an unchecked channel could ask for an enormous array.
+        channels = _as_uint8("channels", channels)
+        seen = np.flatnonzero(np.bincount(channels, minlength=256)).tolist()
+        ids = sorted(set(STANDARD_CHANNELS) | set(seen))
         return TagStream(channels, timestamps, duration_s, tuple(ids))
     raise ValueError(f"unknown tag stream format {fmt!r}")
 

@@ -85,6 +85,18 @@ class TestHomCoincidence:
         with pytest.raises(ValueError):
             hom_coincidence(tau, HomScanSpec(spectrum=GAUSS_50NM))
 
+    @pytest.mark.parametrize("tau", [np.array([0.0, 1.0]) > 0.5, np.array([1.0], dtype=object)])
+    def test_bool_or_object_delay_array_rejected(self, tau):
+        # A float cast reads each of these as 0 fs and 1 fs delays.
+        with pytest.raises(ValueError):
+            hom_coincidence(tau, HomScanSpec(spectrum=GAUSS_50NM))
+
+    def test_integer_delays_equal_float_delays(self):
+        spec = HomScanSpec(spectrum=GAUSS_50NM)
+        assert hom_coincidence(3, spec) == hom_coincidence(3.0, spec)
+        ints = np.arange(-4, 5, dtype=np.int32)
+        assert np.array_equal(hom_coincidence(ints, spec), hom_coincidence(ints.astype(float), spec))
+
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_sinc2_matches_untruncated_quadrature(self):
         # Delays either side of the triangle's half point (36 fs) and its

@@ -113,7 +113,8 @@ PROBES = [
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, True, "1"]
 
-# The probes that raised TypeError or were accepted as 1 before every number went through one check.
+# The probes that raised TypeError or were accepted as 1 before every number went through one
+# check, then those that a numpy cast read as numbers until dtypes were checked.
 FORMER_ESCAPES = [
     ("SpectrumSpec(center_nm='x')", lambda: sources.SpectrumSpec(center_nm="x")),
     ("HomScanSpec(delay_step_fs=None)", lambda: hom.HomScanSpec(delay_step_fs=None)),
@@ -129,6 +130,14 @@ FORMER_ESCAPES = [
     ("detector_efficiency bool", lambda: tag_config(detector_efficiency=(True,) * 4)),
     ("pattern_probs bool", lambda: tag_config(pattern_probs=(False, True, False))),
     ("dark_rate_hz bool", lambda: tag_config(dark_rate_hz=(True, 0, 0, 0))),
+    ("TagStream string timestamp", lambda: tagsim.TagStream(np.array([0]), np.array(["5"]), 1.0)),
+    (
+        "TagStream bool channel id",
+        lambda: tagsim.TagStream(np.array([0]), np.array([0]), 1.0, channel_ids=(0, True)),
+    ),
+    ("hom_coincidence('1')", lambda: hom.hom_coincidence("1", hom.HomScanSpec())),
+    ("hom_coincidence(True)", lambda: hom.hom_coincidence(True, hom.HomScanSpec())),
+    ("hom_coincidence(['1'])", lambda: hom.hom_coincidence(np.array(["1"]), hom.HomScanSpec())),
 ]
 
 CASES = [

@@ -132,6 +132,63 @@ def assert_csv_reader_agrees_with_loop(data):
         assert same_stream(tags_from_bytes(data, fmt="csv"), want)
 
 
+def generate_tags_by_lexsort(cfg):
+    """generate_tags rebuilt from a bare PCG64 in the module docstring's draw order.
+
+    Every draw is made, the jitter included, and the records are ordered by
+    np.lexsort: the oracle for generate_tags.  Returns uint8 channels and
+    int64 timestamps.
+    """
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    n = rng.poisson(cfg.pair_rate_hz * cfg.duration_s)
+    t_ps = np.sort(rng.random(n)) * cfg.duration_s * 1e12
+    pattern = np.searchsorted(np.cumsum(cfg.pattern_probs), rng.random(n), side="right")
+    modes = [np.where(pattern == 2, 1, 0), np.where(pattern == 0, 0, 1)]
+    detectors = [2 * mode + (rng.random(n) >= 0.5) for mode in modes]
+    kept = [
+        (pattern < 3)
+        & (rng.random(n) < np.take(cfg.mode_transmission, mode))
+        & (rng.random(n) < np.take(cfg.detector_efficiency, det))
+        for mode, det in zip(modes, detectors)
+    ]
+    stamps = [np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n)) for _ in modes]
+    channels = [det[keep] for det, keep in zip(detectors, kept)]
+    times = [ts[keep] for ts, keep in zip(stamps, kept)]
+    for ch, rate in enumerate(cfg.dark_rate_hz):
+        n_dark = rng.poisson(rate * cfg.duration_s)
+        channels.append(np.full(n_dark, ch))
+        times.append(np.rint(rng.random(n_dark) * cfg.duration_s * 1e12))
+    ch, ts = np.concatenate(channels), np.concatenate(times)
+    inside = (ts >= 0) & (ts < round(cfg.duration_s * 1e12))
+    order = np.lexsort((ch[inside], ts[inside]))
+    return ch[inside][order].astype(np.uint8), ts[inside][order].astype(np.int64)
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def tag_sim_configs(draw):
+    """Small lossy configs in all four cases of jitter zero or not and darks zero or not."""
+    weights = draw(st.lists(_UNIT, min_size=4, max_size=4).filter(lambda w: sum(w) > 0))
+    probs = draw(
+        st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+        | st.just(tuple(w / sum(weights) for w in weights[:3]))
+    )
+    jitter = draw(st.just(0.0) | st.floats(0.5, 3000.0))
+    darks = draw(st.just((0.0,) * 4) | st.tuples(*[st.just(0.0) | st.floats(1.0, 2e4)] * 4))
+    return TagSimConfig(
+        pair_rate_hz=draw(st.sampled_from([0.0, 50.0, 2e4])),
+        pattern_probs=probs,
+        duration_s=draw(st.sampled_from([1e-3, 0.02, 0.1])),
+        seed=draw(st.integers(0, 2**63 - 1)),
+        detector_efficiency=draw(st.tuples(*[_UNIT] * 4)),
+        mode_transmission=draw(st.tuples(_UNIT, _UNIT)),
+        dark_rate_hz=darks,
+        jitter_sigma_ps=jitter,
+    )
+
+
 class TestGenerateTags:
     def test_zero_efficiency_zero_darks_is_empty(self):
         stream = generate_tags(config(detector_efficiency=(0, 0, 0, 0)))
@@ -209,7 +266,6 @@ class TestGenerateTags:
             config(**bad)
 
     def test_draws_follow_the_documented_order(self):
-        # Rebuild a noisy, lossy stream from a bare PCG64 in the module docstring's order.
         cfg = config(
             pattern_probs=(0.3, 0.4, 0.2),
             duration_s=0.1,
@@ -219,39 +275,39 @@ class TestGenerateTags:
             dark_rate_hz=(500.0, 800.0, 200.0, 400.0),
             jitter_sigma_ps=40.0,
         )
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        n = rng.poisson(cfg.pair_rate_hz * cfg.duration_s)
-        t_ps = np.sort(rng.random(n)) * cfg.duration_s * 1e12
-        pattern = np.searchsorted(np.cumsum(cfg.pattern_probs), rng.random(n), side="right")
-        modes = [np.where(pattern == 2, 1, 0), np.where(pattern == 0, 0, 1)]
-        detectors = [2 * mode + (rng.random(n) >= 0.5) for mode in modes]
-        kept = [
-            (pattern < 3)
-            & (rng.random(n) < np.take(cfg.mode_transmission, mode))
-            & (rng.random(n) < np.take(cfg.detector_efficiency, det))
-            for mode, det in zip(modes, detectors)
-        ]
-        stamps = [np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n)) for _ in modes]
-        channels = [det[keep] for det, keep in zip(detectors, kept)]
-        times = [ts[keep] for ts, keep in zip(stamps, kept)]
-        for ch, rate in enumerate(cfg.dark_rate_hz):
-            n_dark = rng.poisson(rate * cfg.duration_s)
-            channels.append(np.full(n_dark, ch))
-            times.append(np.rint(rng.random(n_dark) * cfg.duration_s * 1e12))
-        ch, ts = np.concatenate(channels), np.concatenate(times)
-        inside = (ts >= 0) & (ts < 1e11)
-        order = np.lexsort((ch[inside], ts[inside]))
-
+        channels, timestamps = generate_tags_by_lexsort(cfg)
         stream = generate_tags(cfg)
         assert len(stream) > 500
-        assert stream.channels.tolist() == ch[inside][order].tolist()
-        assert stream.timestamps_ps.tolist() == ts[inside][order].astype(np.int64).tolist()
+        assert stream.channels.tolist() == channels.tolist()
+        assert stream.timestamps_ps.tolist() == timestamps.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(tag_sim_configs())
+    def test_equals_the_lexsort_rebuild(self, cfg):
+        channels, timestamps = generate_tags_by_lexsort(cfg)
+        stream = generate_tags(cfg)
+        assert stream.channels.dtype == channels.dtype
+        assert stream.timestamps_ps.dtype == timestamps.dtype
+        assert np.array_equal(stream.channels, channels)
+        assert np.array_equal(stream.timestamps_ps, timestamps)
+
+    def test_stamps_near_the_duration_cap_equal_the_lexsort_rebuild(self):
+        # Stamps just below 2^61 ps fill every bit of the int64 sort key.
+        cfg = config(pair_rate_hz=2e-5, duration_s=math.nextafter(2**61 / 1e12, 0), seed=5)
+        channels, timestamps = generate_tags_by_lexsort(cfg)
+        stream = generate_tags(cfg)
+        assert len(stream) > 10 and timestamps.max() > 2**60
+        assert np.array_equal(stream.channels, channels)
+        assert np.array_equal(stream.timestamps_ps, timestamps)
 
     def test_duration_beyond_int64_picoseconds_rejected(self):
-        # 2e7 s is 2e19 ps, past the 9.2e18 ps an int64 timestamp holds.
+        # 2e7 s is 2e19 ps, past the 9.2e18 ps an int64 timestamp holds;
+        # just above 2^61 ps a stamp no longer fits the int64 key timestamp * 4 + channel.
         with pytest.raises(ValueError):
             TagSimConfig(2e-6, (0, 1, 0), 2e7, 3)
-        assert TagSimConfig(2e-6, (0, 1, 0), 9e6, 3).duration_s == 9e6
+        with pytest.raises(ValueError):
+            TagSimConfig(2e-6, (0, 1, 0), math.nextafter(2**61 / 1e12, math.inf), 3)
+        assert TagSimConfig(2e-6, (0, 1, 0), 2e6, 3).duration_s == 2e6
 
 
 def assert_counts_equal_greedy_walk(stream, window_ps):
@@ -555,6 +611,17 @@ class TestStreamIO:
         with pytest.raises(ValueError):
             tags_from_bytes(b"channel,timestamp_ps\n300,5\n", fmt="csv")
 
+    @pytest.mark.parametrize("channel", [b"256", b"9999999999999999999"])
+    def test_csv_channel_past_uint8_rejected_before_registration(self, channel):
+        # Registering a 19-digit channel by bincount would ask for ~10^19 counters.
+        with pytest.raises(ValueError):
+            tags_from_bytes(b"channel,timestamp_ps\n0,1\n" + channel + b",5\n", fmt="csv")
+
+    def test_csv_registers_channel_255(self):
+        stream = tags_from_bytes(b"channel,timestamp_ps\n255,5\n", fmt="csv")
+        assert stream.channel_ids == STANDARD_CHANNELS + (255,)
+        assert stream.singles()[255] == 1
+
     def test_csv_round_trip_keeps_silent_detectors_countable(self):
         # Only detectors 0 and 2 clicked; the reader must still know 1 and 3.
         stream = TagStream(
@@ -698,6 +765,18 @@ class TestStreamValidation:
                 np.array([100], dtype=np.int64),
                 duration_s=1.0,
             )
+
+    def test_every_unregistered_channel_is_named(self):
+        with pytest.raises(ValueError, match=r"\[1, 255\]"):
+            TagStream(np.array([0, 255, 1, 0]), np.arange(4), 1.0, channel_ids=(0,))
+        stream = TagStream(np.array([0, 255]), np.arange(2), 1.0, channel_ids=(0, 255))
+        assert stream.singles() == {0: 1, 255: 1}
+
+    @pytest.mark.parametrize("stamps", [np.array([b"5"]), np.array([5], dtype=object), [2**64]])
+    def test_bytes_or_object_timestamps_rejected(self, stamps):
+        # A float cast reads b"5" as 5.
+        with pytest.raises(ValueError):
+            TagStream(np.array([0]), stamps, 1.0)
 
     def test_timestamp_beyond_int64_rejected(self):
         with pytest.raises(ValueError):
