@@ -11,10 +11,17 @@ Conventions used throughout the package:
   photon-number bases (produced by loss channels) are ordered by total
   photon number descending, then descending-lexicographically within each
   sector.
+* ``evolve`` lifts only the Fock columns its input occupies: every nonzero
+  amplitude of a pure state, and every index whose row or column of a
+  density matrix holds a nonzero entry.  ``lift_unitary`` takes those
+  columns and walks the permanents of nothing else.  The basis index rows
+  and factorial norms of each (modes, photons) pair are built once and
+  cached as read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -264,44 +271,78 @@ class DensityMatrix:
         return float(np.sum(self.probabilities()[mask]))
 
 
-def lift_unitary(u: ModeUnitary, photon_number: int) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _lift_tables(mode_count: int, photon_number: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mode-index rows and factorial norms of enumerate_basis(m, N), read-only.
+
+    Row b of ``idx`` lists mode k occ_k times for basis state b (shape (d, N));
+    ``norms[b]`` is sqrt(prod occ_k!).  Cached per (m, N), so the arrays are
+    frozen: a caller that wrote to them would corrupt every later lift.
+    """
+    basis = enumerate_basis(mode_count, photon_number)
+    idx = np.array([np.repeat(np.arange(mode_count), occ) for occ in basis], dtype=np.intp)
+    norms = np.sqrt([math.prod(map(math.factorial, occ)) for occ in basis])
+    idx.setflags(write=False)
+    norms.setflags(write=False)
+    return idx, norms
+
+
+def _check_columns(columns, dim: int) -> np.ndarray:
+    cols = np.asarray(columns)
+    if cols.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    if cols.ndim != 1 or cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= dim:
+        raise ValueError(f"columns must be a 1-d array of basis indices in [0, {dim})")
+    return cols
+
+
+def lift_unitary(u: ModeUnitary, photon_number: int, columns=None) -> np.ndarray:
     """Lift a mode unitary to the N-photon Fock sector.
 
     Entry (T, S) is Per(M) / sqrt(prod s_i! prod t_j!), where M is built
-    from U by repeating row k t_k times and column j s_j times.  All d²
-    submatrices are stacked and their permanents come from one Ryser walk.
-    The result is unitary over enumerate_basis(m, N).
+    from U by repeating row k t_k times and column j s_j times.  The
+    requested submatrices are stacked and their permanents come from one
+    Ryser walk.  With ``columns=None`` the result is the full d x d lift,
+    unitary over enumerate_basis(m, N); otherwise it is the d x len(columns)
+    matrix of just those input columns, in the order given, with the same
+    bits as the matching columns of the full lift.  The basis index rows
+    and factorial norms are cached per (m, N).
     """
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
-    m = u.mode_count
-    basis = enumerate_basis(m, photon_number)
-    # idx[b] lists mode k occ_k times for basis state b: shape (d, N).
-    idx = np.array([np.repeat(np.arange(m), occ) for occ in basis])
-    norms = np.sqrt([math.prod(map(math.factorial, occ)) for occ in basis])
-    subs = u.matrix[idx[:, None, :, None], idx[None, :, None, :]]
-    return permanent(subs) / np.outer(norms, norms)
+    idx, norms = _lift_tables(u.mode_count, _check_index("photon_number", photon_number))
+    cols = slice(None) if columns is None else _check_columns(columns, len(norms))
+    subs = u.matrix[idx[:, None, :, None], idx[cols][None, :, None, :]]
+    return permanent(subs) / np.outer(norms, norms[cols])
 
 
 def evolve(state, u: ModeUnitary):
     """Evolve a PureState or DensityMatrix through a mode unitary.
 
     Pure states map as ``amps -> L @ amps`` and density matrices as
-    ``rho -> L @ rho @ L^dag`` with ``L = lift_unitary(u, N)``.
+    ``rho -> L @ rho @ L^dag`` with ``L = lift_unitary(u, N)``.  Only the
+    columns of L on the state's support S are lifted: ``L[:, S] @ amps[S]``
+    and ``L[:, S] @ rho[S, S] @ L[:, S]^dag``, which is exact because every
+    other amplitude, and every other row and column of rho, is zero.  S
+    reads whole rows and columns of rho, not only its diagonal, since the
+    PSD tolerance admits a tiny coherence next to a zero population.
     """
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"cannot evolve object of type {type(state).__name__}")
+    totals = {sum(occ) for occ in state.basis}
+    if len(totals) != 1:
+        raise ValueError("evolve requires a single photon-number sector")
+    if state.mode_count != u.mode_count:
+        raise ValueError("mode count mismatch between state and unitary")
+    n = totals.pop()
+    if len(state.basis) != len(_lift_tables(u.mode_count, n)[1]):
+        raise ValueError("evolve requires the full N-photon basis enumerate_basis(m, N)")
     if isinstance(state, PureState):
-        if state.mode_count != u.mode_count:
-            raise ValueError("mode count mismatch between state and unitary")
-        lifted = lift_unitary(u, state.photon_number)
-        return PureState(state.basis, lifted @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        totals = {sum(occ) for occ in state.basis}
-        if len(totals) != 1:
-            raise ValueError("evolve requires a single photon-number sector")
-        if state.mode_count != u.mode_count:
-            raise ValueError("mode count mismatch between state and unitary")
-        lifted = lift_unitary(u, totals.pop())
-        return DensityMatrix(state.basis, lifted @ state.matrix @ lifted.conj().T)
-    raise TypeError(f"cannot evolve object of type {type(state).__name__}")
+        s = np.flatnonzero(state.amplitudes)
+        return PureState(state.basis, lift_unitary(u, n, s) @ state.amplitudes[s])
+    nonzero = state.matrix != 0
+    s = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    lifted = lift_unitary(u, n, s)
+    return DensityMatrix(state.basis, lifted @ state.matrix[np.ix_(s, s)] @ lifted.conj().T)

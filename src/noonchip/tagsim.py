@@ -80,7 +80,11 @@ def _as_uint8(name: str, values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TagStream:
-    """Time-ordered detector click records over a fixed acquisition window."""
+    """Time-ordered detector click records over a fixed acquisition window.
+
+    Every stamp lies in [0, round(duration_s * 1e12)) ps, the window that
+    generate_tags keeps.
+    """
 
     channels: np.ndarray
     timestamps_ps: np.ndarray
@@ -105,10 +109,13 @@ class TagStream:
         # are compared, not differenced: a difference can overflow int64.
         if len(ts) and (ts[0] < 0 or np.any(ts[1:] < ts[:-1])):
             raise ValueError("timestamps must be non-negative and non-decreasing")
+        # The window is [0, round(duration * 1e12)) ps, the bound generate_tags keeps.
+        end_ps = _check_positive("duration", self.duration_s) * 1e12
+        if len(ts) and end_ps < 2.0**63 and int(ts[-1]) >= round(end_ps):
+            raise ValueError(f"timestamp {int(ts[-1])} ps lies past the {round(end_ps)} ps window")
         unregistered = set(np.flatnonzero(np.bincount(ch, minlength=256)).tolist()) - set(ids)
         if unregistered:
             raise ValueError(f"records reference unregistered channels {sorted(unregistered)}")
-        _check_positive("duration", self.duration_s)
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "timestamps_ps", ts)
         object.__setattr__(self, "channel_ids", ids)
@@ -189,8 +196,15 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
 
     t_ps = t_pair * 1e12
     if cfg.jitter_sigma_ps > 0 or any(cfg.dark_rate_hz):
-        ts1 = np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs)).astype(np.int64)
-        ts2 = np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs)).astype(np.int64)
+        ts1 = np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs))
+        ts2 = np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs))
+        # A wide jitter can throw a stamp past int64.  Drop every stamp outside
+        # [0, 2^61) ps, beyond any window, and zero it before the cast; the
+        # exact window is applied below, so the stream is the same.
+        keep1 &= (ts1 >= 0) & (ts1 < 2.0**61)
+        keep2 &= (ts2 >= 0) & (ts2 < 2.0**61)
+        ts1 = np.where(keep1, ts1, 0.0).astype(np.int64)
+        ts2 = np.where(keep2, ts2, 0.0).astype(np.int64)
     else:
         # Both jitter draws would be all zero, and nothing is drawn after them.
         ts1 = ts2 = np.rint(t_ps).astype(np.int64)
@@ -534,6 +548,18 @@ def tags_to_bytes(stream: TagStream, fmt: str = "binary") -> bytes:
     raise ValueError(f"unknown tag stream format {fmt!r}")
 
 
+def _covering_duration(last_ps: int) -> float:
+    """A duration in seconds whose window [0, round(d * 1e12)) ps holds last_ps.
+
+    (last_ps + 1) / 1e12 rounds, past 2^53 ps, to a window that can end at or
+    before last_ps; stepping up one float at a time closes the gap.
+    """
+    duration = (last_ps + 1) / 1e12
+    while round(duration * 1e12) <= last_ps:
+        duration = math.nextafter(duration, math.inf)
+    return duration
+
+
 def tags_from_bytes(data: bytes, fmt: str = "binary", duration_s: float | None = None) -> TagStream:
     if fmt == "binary":
         if data[:8] != _BINARY_MAGIC:
@@ -554,7 +580,7 @@ def tags_from_bytes(data: bytes, fmt: str = "binary", duration_s: float | None =
     if fmt == "csv":
         channels, timestamps = _csv_decode(data)
         if duration_s is None:
-            duration_s = (float(timestamps.max()) + 1.0) / 1e12 if len(timestamps) else 1.0
+            duration_s = _covering_duration(int(timestamps.max())) if len(timestamps) else 1.0
         # A bincount over an unchecked channel could ask for an enormous array.
         channels = _as_uint8("channels", channels)
         seen = np.flatnonzero(np.bincount(channels, minlength=256)).tolist()

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
+from noonchip import fock
+from noonchip.circuit import mzi_unitary
+from noonchip.detection import pattern_probs
 from noonchip.fock import (
     DensityMatrix,
     ModeUnitary,
@@ -17,6 +20,7 @@ from noonchip.fock import (
     lift_unitary,
     permanent,
 )
+from noonchip.sources import noon_mixed
 
 
 def haar_unitary(dim, seed):
@@ -333,3 +337,154 @@ class TestEvolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evolve(self.noon, ModeUnitary(np.eye(3)))
+
+
+def random_unitary(m, seed):
+    return haar_unitary(m, seed) if m > 1 else np.array([[np.exp(1j * seed)]])
+
+
+def column_subsets(d, rng):
+    """Empty, last-only and reversed full column lists, and three random unsorted ones."""
+    out = [[], [d - 1], list(range(d))[::-1]]
+    for _ in range(3):
+        out.append(rng.permutation(d)[: rng.integers(1, d + 1)].tolist())
+    return out
+
+
+def partial_support_state(m, n, rng, mixed):
+    """A random pure or rank-3 mixed state on a random proper subset of the basis."""
+    d = math.comb(n + m - 1, m - 1)
+    support = np.sort(rng.permutation(d)[: max(1, d // 2)])
+    basis = tuple(enumerate_basis(m, n))
+
+    def vector():
+        v = np.zeros(d, dtype=complex)
+        v[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+        return v / np.linalg.norm(v)
+
+    if not mixed:
+        return PureState(basis, vector())
+    weights = rng.dirichlet(np.ones(3))
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, (vector() for _ in weights)))
+    return DensityMatrix(basis, (rho + rho.conj().T) / 2)
+
+
+class TestLiftColumns:
+    """The column lift against the full lift, which stays the oracle."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_matches_full_lift_columns(self, m, n):
+        u = ModeUnitary(random_unitary(m, 400 + 10 * m + n))
+        full = lift_unitary(u, n)
+        rng = np.random.default_rng(10 * m + n)
+        for cols in column_subsets(full.shape[0], rng):
+            part = lift_unitary(u, n, cols)
+            assert part.shape == (full.shape[0], len(cols))
+            assert np.max(np.abs(part - full[:, cols]), initial=0.0) < 1e-12
+
+    def test_numpy_index_array_and_full_column_list(self):
+        u = ModeUnitary(haar_unitary(3, 12))
+        full = lift_unitary(u, 2)
+        assert np.array_equal(lift_unitary(u, 2, np.arange(6)), full)
+        assert np.array_equal(lift_unitary(u, 2, np.array([4, 1], dtype=np.uint8)), full[:, [4, 1]])
+
+    @pytest.mark.parametrize(
+        "cols", [[3], [-1], [0.0], [True], [[0, 1]], ["0"]], ids=str
+    )
+    def test_rejects_bad_columns(self, cols):
+        with pytest.raises(ValueError, match="columns"):
+            lift_unitary(ModeUnitary(np.eye(2)), 2, cols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2**32 - 1), st.data())
+    def test_column_homomorphism(self, m, n, seed, data):
+        # lift(UV)[:, S] = lift(U) @ lift(V)[:, S] for any column list S.
+        u, v = random_unitary(m, seed), random_unitary(m, seed + 1)
+        d = math.comb(n + m - 1, m - 1)
+        cols = data.draw(st.lists(st.integers(0, d - 1), unique=True, max_size=d))
+        lhs = lift_unitary(ModeUnitary(u @ v), n, cols)
+        rhs = lift_unitary(ModeUnitary(u), n) @ lift_unitary(ModeUnitary(v), n, cols)
+        assert np.max(np.abs(lhs - rhs), initial=0.0) < 1e-10
+
+    def test_cached_tables_are_read_only(self):
+        idx, norms = fock._lift_tables(3, 2)
+        for table in (idx, norms):
+            with pytest.raises(ValueError):
+                table[0] = 7
+        assert fock._lift_tables(3, 2)[0] is idx
+        lifted = lift_unitary(ModeUnitary(np.eye(3)), 2)
+        lifted[:] = 0  # a caller's own copy, not the cache
+        assert np.allclose(lift_unitary(ModeUnitary(np.eye(3)), 2), np.eye(6))
+
+    def test_photon_number_checked_before_the_cache(self):
+        u = ModeUnitary(np.eye(2))
+        lift_unitary(u, 2)
+        with pytest.raises(ValueError):
+            lift_unitary(u, 2.0)  # equal to the cached key 2, and still refused
+
+
+class TestEvolveOnSupport:
+    """evolve lifts only the support; the full-lift L rho L^dag stays the oracle."""
+
+    @pytest.mark.parametrize(("m", "n"), [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    def test_partial_support_matches_full_lift(self, m, n, mixed):
+        rng = np.random.default_rng(100 * m + n)
+        for seed in range(3):
+            state = partial_support_state(m, n, rng, mixed)
+            u = ModeUnitary(haar_unitary(m, 70 + seed))
+            lifted = lift_unitary(u, n)
+            out = evolve(state, u)
+            if mixed:
+                want = lifted @ state.matrix @ lifted.conj().T
+                assert np.max(np.abs(out.matrix - want)) < 1e-12
+            else:
+                assert np.max(np.abs(out.amplitudes - lifted @ state.amplitudes)) < 1e-12
+
+    def test_support_reads_rows_and_columns_not_the_diagonal(self):
+        # rho[1, 1] = 0 next to a coherence of 1e-6: eigenvalue -1e-12, inside PSD_ATOL.
+        # A diagonal-only support would drop index 1 and miss terms of order 1e-6.
+        rho = np.zeros((3, 3), dtype=complex)
+        rho[0, 0] = 1.0
+        rho[0, 1] = rho[1, 0] = 1e-6
+        state = DensityMatrix(tuple(enumerate_basis(2, 2)), rho)
+        u = ModeUnitary(haar_unitary(2, 5))
+        lifted = lift_unitary(u, 2)
+        out = evolve(state, u)
+        assert np.max(np.abs(out.matrix - lifted @ rho @ lifted.conj().T)) < 1e-14
+
+    def test_partial_basis_rejected(self):
+        state = PureState(((2, 0), (1, 1)), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="full"):
+            evolve(state, ModeUnitary(np.eye(2)))
+
+    def test_four_photon_device_state(self):
+        # The |1,1,1,1> input of the 4-mode heater sweep: one lifted column.
+        basis = tuple(enumerate_basis(4, 4))
+        rho = np.zeros((35, 35), dtype=complex)
+        rho[basis.index((1, 1, 1, 1)), basis.index((1, 1, 1, 1))] = 1.0
+        state = DensityMatrix(basis, rho)
+        u = ModeUnitary(haar_unitary(4, 44))
+        lifted = lift_unitary(u, 4)
+        want = np.real(np.diag(lifted @ rho @ lifted.conj().T))
+        assert np.max(np.abs(evolve(state, u).probabilities() - want)) < 1e-15
+
+
+def full_lift_pattern_probs(state, u):
+    lifted = lift_unitary(u, 2)
+    return pattern_probs(DensityMatrix(state.basis, lifted @ state.matrix @ lifted.conj().T))
+
+
+class TestTagWorkloadInputs:
+    """Every seeded tag stream draws from these pattern probabilities: pin them bit for bit."""
+
+    PHASES = np.concatenate([2 * math.pi * np.arange(24) / 24, np.linspace(0, 2 * math.pi, 97)])
+
+    @pytest.mark.parametrize("purity", [0.8, 0.9, 1.0])
+    def test_pattern_probs_equal_the_full_lift(self, purity):
+        bs = mzi_unitary(math.pi / 2)
+        for phase in self.PHASES:
+            state = noon_mixed(0.5, float(phase), purity)
+            got = pattern_probs(evolve(state, bs))
+            assert np.array_equal(got, full_lift_pattern_probs(state, bs)), phase

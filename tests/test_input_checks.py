@@ -71,6 +71,7 @@ PROBES = [
     ("loss_budget.pump", lambda x: detection.loss_budget(1e3, 13.0, x), 0.5, 0.0),
     ("enumerate_basis.mode_count", lambda x: fock.enumerate_basis(x, 2), 2, 0),
     ("enumerate_basis.photon_number", lambda x: fock.enumerate_basis(2, x), 2, -1),
+    ("lift_unitary.photon_number", lambda x: fock.lift_unitary(np.eye(2), x), 2, -1),
     ("enumerate_sectors.max_photon_number", lambda x: fock.enumerate_sectors(2, x), 2, -1),
     ("TagSimConfig.pair_rate_hz", lambda x: tag_config(pair_rate_hz=x), 0.5, -1.0),
     ("TagSimConfig.duration_s", lambda x: tag_config(duration_s=x), 0.5, 2e7),

@@ -72,9 +72,18 @@ def csv_decode_loop(data, duration_s=None):
     channels = np.array(ch, dtype=np.int64)
     timestamps = np.array(ts, dtype=np.int64)
     if duration_s is None:
-        duration_s = (float(timestamps.max()) + 1.0) / 1e12 if len(timestamps) else 1.0
+        duration_s = covering_duration(max(ts)) if ts else 1.0
     ids = tuple(sorted(set(STANDARD_CHANNELS) | set(ch)))
     return TagStream(channels, timestamps, duration_s, ids)
+
+
+def covering_duration(last_ps):
+    """The duration the CSV reader infers: the first float from (last + 1) / 1e12 up
+    whose window [0, round(d * 1e12)) ps holds last_ps."""
+    duration = (last_ps + 1) / 1e12
+    while round(duration * 1e12) <= last_ps:
+        duration = math.nextafter(duration, math.inf)
+    return duration
 
 
 def same_stream(a, b):
@@ -299,6 +308,17 @@ class TestGenerateTags:
         assert len(stream) > 10 and timestamps.max() > 2**60
         assert np.array_equal(stream.channels, channels)
         assert np.array_equal(stream.timestamps_ps, timestamps)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("jitter_sigma_ps", [1e10, 1e19, 1e300])
+    def test_wide_jitter_drops_stamps_before_the_int64_cast(self, jitter_sigma_ps):
+        # 1e19 ps throws most stamps past int64: they must go before the cast, which warns.
+        cfg = TagSimConfig(1e3, (0, 1, 0), 0.01, 1, jitter_sigma_ps=jitter_sigma_ps)
+        channels, timestamps = generate_tags_by_lexsort(cfg)
+        stream = generate_tags(cfg)
+        assert np.array_equal(stream.channels, channels)
+        assert np.array_equal(stream.timestamps_ps, timestamps)
+        assert np.all(stream.timestamps_ps < round(cfg.duration_s * 1e12))
 
     def test_duration_beyond_int64_picoseconds_rejected(self):
         # 2e7 s is 2e19 ps, past the 9.2e18 ps an int64 timestamp holds;
@@ -596,6 +616,9 @@ class TestStreamIO:
         records.sort(key=lambda r: r[1])
         channels = np.array([c for c, _ in records], dtype=np.int64)
         timestamps = np.array([t for _, t in records], dtype=np.int64)
+        # Stretch the drawn duration until its window holds every stamp.
+        if records:
+            duration_s = max(duration_s, covering_duration(records[-1][1]))
         stream = TagStream(channels, timestamps, duration_s, tuple(range(255)))
         back = tags_from_bytes(tags_to_bytes(stream, fmt="binary"), fmt="binary")
         assert np.array_equal(back.channels, stream.channels)
@@ -651,15 +674,16 @@ class TestStreamIO:
     )
     def test_csv_round_trips_any_stream(self, records):
         records.sort(key=lambda r: r[1])
+        # 1e7 s is a window of 10^19 ps, past every int64 stamp.
         stream = TagStream(
             np.array([c for c, _ in records], dtype=np.uint8),
             np.array([t for _, t in records], dtype=np.int64),
-            1.0,
+            1e7,
             tuple(range(256)),
         )
         data = tags_to_bytes(stream, fmt="csv")
         assert data == csv_encode_loop(stream)
-        back = tags_from_bytes(data, fmt="csv", duration_s=1.0)
+        back = tags_from_bytes(data, fmt="csv", duration_s=1e7)
         assert np.array_equal(back.channels, stream.channels)
         assert np.array_equal(back.timestamps_ps, stream.timestamps_ps)
 
@@ -777,6 +801,27 @@ class TestStreamValidation:
         # A float cast reads b"5" as 5.
         with pytest.raises(ValueError):
             TagStream(np.array([0]), stamps, 1.0)
+
+    def test_timestamp_past_the_window_rejected(self):
+        # The window is [0, round(duration * 1e12)) ps, the bound generate_tags keeps.
+        with pytest.raises(ValueError, match="window"):
+            TagStream(np.array([0]), np.array([5 * 10**12]), 1.0)
+        with pytest.raises(ValueError, match="window"):
+            TagStream(np.array([0, 1]), np.array([0, 10**12]), 1.0)
+        assert len(TagStream(np.array([0, 1]), np.array([0, 10**12 - 1]), 1.0)) == 2
+
+    def test_window_past_int64_admits_every_stamp(self):
+        stream = TagStream(np.array([0]), np.array([2**63 - 1]), 1e300)
+        assert stream.timestamps_ps.tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize("last", [2**53 + 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1])
+    def test_inferred_csv_duration_admits_its_last_stamp(self, last):
+        # (last + 1) / 1e12 alone gives a window that ends at or before these stamps.
+        data = f"channel,timestamp_ps\n0,0\n1,{last}\n".encode()
+        stream = tags_from_bytes(data, fmt="csv")
+        assert stream.timestamps_ps.tolist() == [0, last]
+        assert round(stream.duration_s * 1e12) > last
+        assert stream.duration_s == covering_duration(last)
 
     def test_timestamp_beyond_int64_rejected(self):
         with pytest.raises(ValueError):
