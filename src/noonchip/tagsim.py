@@ -16,9 +16,13 @@ then photon 2's routing draw, photon 1's mode-transmission then
 detector-efficiency draw, the same two for photon 2, photon 1's then
 photon 2's jitter draw, then for each channel in ascending order its dark
 count and dark times), so a given config reproduces a bit-identical stream.
-The two jitter draws are skipped only when the jitter is zero and every dark
-rate is zero: they would return only zeros, and nothing is drawn after them,
-so the stream is the same bit for bit.
+A trailing run of draws whose results are all certain is skipped, which moves
+no later draw.  With zero jitter and every dark rate zero, nothing is drawn
+after the jitter draws (poisson(0.0) and random(0) consume no generator
+state), so the two jitter draws, which would return only zeros, are skipped.
+If also both mode transmissions and all four detector efficiencies are
+exactly 1.0, the four thinning draws are skipped too: each compares a double
+in [0, 1) with 1.0 and so keeps every photon.
 """
 
 from __future__ import annotations
@@ -189,13 +193,17 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
     det1 = 2 * mode1 + (rng.random(n_pairs) >= 0.5)
     det2 = 2 * mode2 + (rng.random(n_pairs) >= 0.5)
 
-    eta = np.asarray(cfg.mode_transmission)
-    eff = np.asarray(cfg.detector_efficiency)
-    keep1 = emitted & (rng.random(n_pairs) < eta[mode1]) & (rng.random(n_pairs) < eff[det1])
-    keep2 = emitted & (rng.random(n_pairs) < eta[mode2]) & (rng.random(n_pairs) < eff[det2])
+    # Certain trailing draws are skipped (see the module docstring).
+    noisy = cfg.jitter_sigma_ps > 0 or any(cfg.dark_rate_hz)
+    keep1 = keep2 = emitted
+    if noisy or min(cfg.mode_transmission + cfg.detector_efficiency) < 1.0:
+        eta = np.asarray(cfg.mode_transmission)
+        eff = np.asarray(cfg.detector_efficiency)
+        keep1 = emitted & (rng.random(n_pairs) < eta[mode1]) & (rng.random(n_pairs) < eff[det1])
+        keep2 = emitted & (rng.random(n_pairs) < eta[mode2]) & (rng.random(n_pairs) < eff[det2])
 
     t_ps = t_pair * 1e12
-    if cfg.jitter_sigma_ps > 0 or any(cfg.dark_rate_hz):
+    if noisy:
         ts1 = np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs))
         ts2 = np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs))
         # A wide jitter can throw a stamp past int64.  Drop every stamp outside
@@ -206,24 +214,19 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
         ts1 = np.where(keep1, ts1, 0.0).astype(np.int64)
         ts2 = np.where(keep2, ts2, 0.0).astype(np.int64)
     else:
-        # Both jitter draws would be all zero, and nothing is drawn after them.
         ts1 = ts2 = np.rint(t_ps).astype(np.int64)
 
-    chunks_ch = [det1[keep1], det2[keep2]]
-    chunks_ts = [ts1[keep1], ts2[keep2]]
-
+    # Each record is one int64 key, timestamp * 4 + channel: stamps below 2^61
+    # keep it in range, and 0 <= key < duration_ps * 4 is the window on the stamp.
+    chunks = [ts1[keep1] << 2 | det1[keep1], ts2[keep2] << 2 | det2[keep2]]
     for ch in STANDARD_CHANNELS:
         n_dark = int(rng.poisson(cfg.dark_rate_hz[ch] * cfg.duration_s))
         dark_ts = np.rint(rng.random(n_dark) * cfg.duration_s * 1e12).astype(np.int64)
-        chunks_ch.append(np.full(n_dark, ch, dtype=np.int8))
-        chunks_ts.append(dark_ts)
+        chunks.append(dark_ts << 2 | ch)
 
-    channels = np.concatenate(chunks_ch)
-    timestamps = np.concatenate(chunks_ts)
-    in_range = (timestamps >= 0) & (timestamps < duration_ps)
-    # One sort of timestamp * 4 + channel orders by time, then channel; equal
-    # keys are identical records.  Stamps below 2^61 keep the key in int64.
-    key = np.sort(timestamps[in_range] << 2 | channels[in_range])
+    key = np.concatenate(chunks)
+    # One sort orders by time, then channel; equal keys are identical records.
+    key = np.sort(key[(key >= 0) & (key < duration_ps << 2)])
     return TagStream((key & 3).astype(np.uint8), key >> 2, cfg.duration_s)
 
 

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from noonchip.circuit import mzi_unitary
 from noonchip.detection import (
@@ -92,6 +94,18 @@ class TestApplyLoss:
             apply_loss(noon_mixed(0.5, 0, 1), 1.2, 0.5)
 
 
+@st.composite
+def two_photon_states(draw):
+    """A random trace-one PSD density matrix of rank 1 to 3 over TWO_PHOTON_BASIS."""
+    rank = draw(st.integers(1, 3))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=6 * rank, max_size=6 * rank))
+    a = np.reshape(parts[::2], (3, rank)) + 1j * np.reshape(parts[1::2], (3, rank))
+    rho = a @ a.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-3)
+    return DensityMatrix(TWO_PHOTON_BASIS, rho / trace)
+
+
 class TestPatternProbs:
     def test_antibunching_phase(self):
         out = evolve(noon_pure(0.5, math.pi / 2), mzi_unitary(math.pi / 2))
@@ -109,6 +123,16 @@ class TestPatternProbs:
         rho = apply_loss(noon_mixed(0.5, 0.0, 1.0), 0.5, 0.5)
         probs = pattern_probs(rho)
         assert probs.sum() == pytest.approx(rho.sector_weight(2), abs=1e-12)
+
+    @given(two_photon_states(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_sum_is_the_two_photon_weight_after_loss(self, rho, eta_a, eta_b):
+        lossy = apply_loss(rho, eta_a, eta_b)
+        probs = pattern_probs(lossy)
+        assert probs.sum() == pytest.approx(lossy.sector_weight(2), abs=1e-12)
+        # Only the pairs that lose no photon stay in the two-photon sector.
+        survive = [eta_a ** p.occupation[0] * eta_b ** p.occupation[1] for p in DETECTION_PATTERNS]
+        populations = [rho.probabilities()[rho.basis.index(p.occupation)] for p in DETECTION_PATTERNS]
+        assert np.allclose(probs, np.multiply(populations, survive), rtol=0.0, atol=1e-12)
 
 
 def routed_pairs(occupation):

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from noonchip import circuit, detection, fock, hom, sources, tagsim
 
@@ -158,3 +160,52 @@ def test_bad_number_raises_value_error(probe):
 def test_probe_accepts_its_valid_number(call, valid):
     # So that each bad value above is what raises, not the rest of the call.
     call(valid)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf]).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)])
+)
+
+
+@st.composite
+def tag_config_fields(draw):
+    """Valid TagSimConfig fields, drawn; the dark rate as a scalar or a 4-tuple."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(any))
+    return {
+        "pair_rate_hz": draw(st.floats(0.0, 1e9)),
+        "pattern_probs": tuple(w / sum(weights) for w in weights[:3]),
+        "duration_s": draw(st.floats(1e-9, 1e6)),
+        "seed": draw(st.integers(0, 2**63 - 1)),
+        "detector_efficiency": draw(st.tuples(*[st.floats(0.0, 1.0)] * 4)),
+        "mode_transmission": draw(st.tuples(*[st.floats(0.0, 1.0)] * 2)),
+        "dark_rate_hz": draw(st.floats(0.0, 1e9) | st.tuples(*[st.floats(0.0, 1e9)] * 4)),
+        "jitter_sigma_ps": draw(st.floats(0.0, 1e9)),
+    }
+
+
+# Every numeric slot of TagSimConfig: a scalar field, or a field and an index into its tuple.
+TAG_CONFIG_SLOTS = [
+    ("pair_rate_hz", None),
+    ("duration_s", None),
+    ("jitter_sigma_ps", None),
+    ("dark_rate_hz", None),
+    *[("pattern_probs", i) for i in range(3)],
+    *[("detector_efficiency", i) for i in range(4)],
+    *[("mode_transmission", i) for i in range(2)],
+    *[("dark_rate_hz", i) for i in range(4)],
+]
+
+
+@given(tag_config_fields(), st.sampled_from(TAG_CONFIG_SLOTS), NON_FINITE)
+def test_tag_config_rejects_a_non_finite_value_in_any_slot(fields, slot, bad):
+    tagsim.TagSimConfig(**fields)
+    name, index = slot
+    if index is None:
+        fields[name] = bad
+    else:
+        value = fields[name]
+        values = list(value) if isinstance(value, tuple) else [value] * 4
+        values[index] = bad
+        fields[name] = tuple(values)
+    with pytest.raises(ValueError):
+        tagsim.TagSimConfig(**fields)

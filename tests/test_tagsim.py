@@ -174,11 +174,14 @@ def generate_tags_by_lexsort(cfg):
 
 
 _UNIT = st.floats(0.0, 1.0)
+# Four detector efficiencies then two mode transmissions: all exactly one, or
+# each one either exactly one or any value in [0, 1].
+_GAINS = st.just((1.0,) * 6) | st.tuples(*[st.just(1.0) | _UNIT] * 6)
 
 
 @st.composite
 def tag_sim_configs(draw):
-    """Small lossy configs in all four cases of jitter zero or not and darks zero or not."""
+    """Small configs, lossless or lossy, in all four cases of jitter and darks zero or not."""
     weights = draw(st.lists(_UNIT, min_size=4, max_size=4).filter(lambda w: sum(w) > 0))
     probs = draw(
         st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
@@ -186,16 +189,82 @@ def tag_sim_configs(draw):
     )
     jitter = draw(st.just(0.0) | st.floats(0.5, 3000.0))
     darks = draw(st.just((0.0,) * 4) | st.tuples(*[st.just(0.0) | st.floats(1.0, 2e4)] * 4))
+    gains = draw(_GAINS)
     return TagSimConfig(
         pair_rate_hz=draw(st.sampled_from([0.0, 50.0, 2e4])),
         pattern_probs=probs,
         duration_s=draw(st.sampled_from([1e-3, 0.02, 0.1])),
         seed=draw(st.integers(0, 2**63 - 1)),
-        detector_efficiency=draw(st.tuples(*[_UNIT] * 4)),
-        mode_transmission=draw(st.tuples(_UNIT, _UNIT)),
+        detector_efficiency=gains[:4],
+        mode_transmission=gains[4:],
         dark_rate_hz=darks,
         jitter_sigma_ps=jitter,
     )
+
+
+def run_recording_generator(monkeypatch, make_stream, cfg):
+    """make_stream(cfg) and the state of the one PCG64 it built, after its last draw."""
+    made = []
+    pcg64 = np.random.PCG64
+
+    def recording_pcg64(seed):
+        made.append(pcg64(seed))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "PCG64", recording_pcg64)
+        out = make_stream(cfg)
+    assert len(made) == 1
+    return out, made[0].state
+
+
+def state_after_uniform_blocks(cfg, blocks):
+    """The PCG64 state after the pair count and `blocks` draws of n_pairs uniforms each."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    n_pairs = rng.poisson(cfg.pair_rate_hz * cfg.duration_s)
+    for _ in range(blocks):
+        rng.random(n_pairs)
+    return rng.bit_generator.state
+
+
+def one_gain_below_one(which):
+    """Lossless gains but one, the largest double below one: it thins no record here."""
+    gains = [1.0] * 6
+    gains[which] = math.nextafter(1.0, 0.0)
+    return {"detector_efficiency": gains[:4], "mode_transmission": gains[4:]}
+
+
+# Uniform blocks of n_pairs drawn: pair times, pattern and the two routing
+# draws, then the four thinning draws.  None: every draw, as the oracle makes.
+SKIPPED_DRAW_CASES = [
+    pytest.param({"pattern_probs": (0.25, 0.5, 0.25)}, 4, id="lossless-sum-1"),
+    pytest.param({"pattern_probs": (0.475, 0.05, 0.475)}, 4, id="lossless-scan-like"),
+    pytest.param({"pattern_probs": (0.2, 0.5, 0.1)}, 4, id="lossless-sum-0.8"),
+    pytest.param({"jitter_sigma_ps": 40.0}, None, id="lossless-jitter"),
+    pytest.param({"dark_rate_hz": (0.0, 0.0, 300.0, 0.0)}, None, id="lossless-one-dark-rate"),
+    *[pytest.param(one_gain_below_one(i), 8, id=f"gain-{i}-below-one") for i in range(6)],
+]
+
+
+@pytest.mark.parametrize("overrides, uniform_blocks", SKIPPED_DRAW_CASES)
+def test_skipped_draws_leave_the_stream_of_the_lexsort_rebuild(
+    monkeypatch, overrides, uniform_blocks
+):
+    """A lossless, noiseless config skips the four thinning draws; any loss,
+    jitter or dark rate keeps them.  The generator's state after the last draw
+    shows a skip that changes no record."""
+    cfg = config(**({"pattern_probs": (0.3, 0.4, 0.3), "duration_s": 0.1, "seed": 31} | overrides))
+    stream, state = run_recording_generator(monkeypatch, generate_tags, cfg)
+    (channels, timestamps), oracle_state = run_recording_generator(
+        monkeypatch, generate_tags_by_lexsort, cfg
+    )
+    assert len(stream) > 1000
+    assert np.array_equal(stream.channels, channels)
+    assert np.array_equal(stream.timestamps_ps, timestamps)
+    if uniform_blocks is None:
+        assert state == oracle_state
+    else:
+        assert state == state_after_uniform_blocks(cfg, uniform_blocks)
 
 
 class TestGenerateTags:
