@@ -99,6 +99,8 @@ class TagStream:
         ch = _as_uint8("channels", self.channels)
         ids = [_check_index("channel id", c) for c in self.channel_ids]
         ids = tuple(_as_uint8("channel ids", ids).tolist())
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"channel ids must be distinct, got {ids}")
         raw = np.asarray(self.timestamps_ps)
         # A cast would read bool, string and object stamps as numbers, and truncate floats.
         if raw.dtype.kind not in "iuf":
@@ -461,51 +463,104 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
 #   "\n" may be missing.  Timestamps are at most 2^63 - 1.
 # - Empty lines are skipped; a body with no rows is valid.
 # - Any other byte, a wrong column count or a longer field is a ValueError.
+#
+# The writer relies on TagStream's non-decreasing stamps: the records whose
+# stamps have d digits are one contiguous run, so there are at most 19 runs.
+# Each run is one (records, row length) uint8 block of the output, filled
+# column by column: channel digits, ",", stamp digits, "\n".  Digits go four
+# at a time, as one uint32 word gathered from a 10^4-entry table after one
+# division by 10^4; the one to three leading digits are gathered place by
+# place.  A run that mixes channel widths is built with every channel padded
+# to the widest, and a mask then drops the padding.
+#
+# The reader finds every "\n" and ",", so each field is the digits before a
+# delimiter.  Digit k, counted from the right, of every field is one gather of
+# uint8 digits; four of them are summed into a uint16, and each such group
+# adds to the uint64 value by one multiply-add.  Only the digit places past
+# the shortest field are masked by field width.
 
 _CSV_HEADER = b"channel,timestamp_ps"
 _CSV_MAX_DIGITS = 19
-# 10^0 .. 10^19: a value v has searchsorted(_POW10[1:], v, "right") + 1 digits.
+# 10^0 .. 10^19: the stamps of d digits are those in [10^(d-1), 10^d), and 0 has one.
 _POW10 = 10 ** np.arange(_CSV_MAX_DIGITS + 1, dtype=np.uint64)
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
+# Row j holds ASCII digit place j (thousands first) of every v in 0..9999.  Column v
+# holds the four digits of v; as one uint32 word they are moved by one store.
+_ASCII_DIGITS = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8)
+_DIGIT_PLACES = np.array(np.meshgrid(*[_ASCII_DIGITS] * 4, indexing="ij")).reshape(4, -1)
+_DIGIT_WORDS = np.ascontiguousarray(_DIGIT_PLACES.T).view(np.uint32)[:, 0]
 
 
-def _write_digits(out: np.ndarray, last: np.ndarray, v: np.ndarray) -> None:
-    """Write each unsigned value v in decimal into out, its last digit at index `last`."""
-    while len(v):
-        q = v // 10
-        out[last] = (v - q * 10).astype(np.uint8) + _ZERO
-        v, last = q, last - 1
-        live = v > 0
-        if not live.all():
-            v, last = v[live], last[live]
+def _put_digits(block: np.ndarray, start: int, end: int, v: np.ndarray) -> None:
+    """Write v < 10^(end - start) into block[:, start:end] as zero-padded decimal digits."""
+    while end - start > 4:
+        q = v // 10_000
+        block[:, end - 4 : end].view(np.uint32)[:, 0] = _DIGIT_WORDS[v - q * 10_000]
+        v, end = q, end - 4
+    if end - start == 4:
+        block[:, start:end].view(np.uint32)[:, 0] = _DIGIT_WORDS[v]
+    else:
+        for j in range(start, end):
+            block[:, j] = np.take(_DIGIT_PLACES[j - end], v)
 
 
 def _csv_encode(stream: TagStream) -> bytes:
-    ch, ts = stream.channels, stream.timestamps_ps.astype(np.uint64)
-    n_ch = np.searchsorted(_POW10[1:], ch, side="right") + 1
-    n_ts = np.searchsorted(_POW10[1:], ts, side="right") + 1
+    ch, ts = stream.channels, stream.timestamps_ps
     head = len(_CSV_HEADER) + 1
-    # Index of each record's "\n": "<ch>,<ts>\n" spans n_ch + n_ts + 2 bytes.
-    newline = head - 1 + np.cumsum(n_ch + n_ts + 2)
-    out = np.empty(newline[-1] + 1 if len(ts) else head, dtype=np.uint8)
+    # Records edges[d - 1]:edges[d] are the run of d-digit stamps.
+    edges = np.searchsorted(ts.view(np.uint64), _POW10)
+    edges[0] = 0
+    runs = np.diff(edges)
+    # A row "<ch>,<ts>\n" has 3 bytes, one more for each of ch >= 10 and ch >= 100,
+    # and the stamp's digits.
+    size = 3 * len(ts) + np.count_nonzero(ch >= 10) + np.count_nonzero(ch >= 100)
+    out = np.empty(head + size + int(runs @ np.arange(1, 20)), dtype=np.uint8)
     out[:head] = np.frombuffer(_CSV_HEADER + b"\n", dtype=np.uint8)
-    out[newline] = _NEWLINE
-    comma = newline - n_ts - 1
-    out[comma] = _COMMA
-    _write_digits(out, newline - 1, ts)
-    _write_digits(out, comma - 1, ch)
+    pos = head
+    for d in np.flatnonzero(runs) + 1:
+        lo, hi = edges[d - 1], edges[d]
+        c = ch[lo:hi]
+        narrow, wide = (1 + (x >= 10) + (x >= 100) for x in (c.min(), c.max()))
+        k, row = hi - lo, wide + d + 2
+        # A run of one channel width is written in place.  A mixed run is built with every
+        # channel padded to the widest, then a mask drops the padding.
+        mixed = narrow != wide
+        block = np.empty((k, row), np.uint8) if mixed else out[pos : pos + k * row].reshape(k, row)
+        _put_digits(block, 0, wide, c)
+        block[:, wide] = _COMMA
+        _put_digits(block, wide + 1, wide + 1 + d, ts[lo:hi])
+        block[:, -1] = _NEWLINE
+        if mixed:
+            keep = np.ones((k, row), dtype=bool)
+            keep[:, : wide - 1] = c[:, None] >= _POW10[wide - 1 : 0 : -1]
+            block = block[keep]
+            out[pos : pos + block.size] = block
+        pos += block.size
     return out.tobytes()
 
 
-def _parse_fields(digits: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """uint64 values of the decimal fields digits[stop - width:stop]."""
+def _parse_fields(padded: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """uint64 values of the decimal fields digits[stop - width:stop].
+
+    digits is padded[_CSV_MAX_DIGITS:]; the padding lets digit k of every field,
+    counted from the right, be gathered from one shifted view with no index arithmetic.
+    """
     if len(width) and (width.min() < 1 or width.max() > _CSV_MAX_DIGITS):
         raise ValueError(f"CSV fields must have 1 to {_CSV_MAX_DIGITS} digits")
+    shortest, longest = int(width.min(initial=_CSV_MAX_DIGITS)), int(width.max(initial=0))
+    last, width = stop - 1, width.astype(np.uint8)
     acc = np.zeros(len(stop), dtype=np.uint64)
-    for k in range(int(width.max(initial=0))):
-        # Gather one digit per field before widening: 19 digits fit in uint64.
-        d = np.take(digits, stop - 1 - k, mode="clip")
-        acc += np.where(width > k, d, 0) * _POW10[k]
+    # Four digits at a time, most significant group first: each group is summed in
+    # uint16 (at most 9999), then acc = acc * 10^4 + group.
+    for top in range((longest - 1) // 4 * 4, -1, -4):
+        group = np.zeros(len(stop), dtype=np.uint16)
+        for k in range(top, min(top + 4, longest)):
+            d = np.take(padded[_CSV_MAX_DIGITS - k :], last)
+            if k >= shortest:
+                d *= width > k
+            group += d * np.uint16(10 ** (k - top))
+        acc *= np.uint64(10_000)
+        acc += group
     return acc
 
 
@@ -515,7 +570,9 @@ def _csv_decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("not a tag stream CSV: missing header")
     body = np.frombuffer(data, dtype=np.uint8, offset=min(head + 1, len(data)))
     # Digits become 0..9; every other byte wraps to a value above 9.
-    digits = body - _ZERO
+    padded = np.zeros(_CSV_MAX_DIGITS + len(body), dtype=np.uint8)
+    digits = padded[_CSV_MAX_DIGITS:]
+    np.subtract(body, _ZERO, out=digits)
     newline, comma = np.flatnonzero(body == _NEWLINE), np.flatnonzero(body == _COMMA)
     if np.count_nonzero(digits > 9) != len(newline) + len(comma):
         raise ValueError("tag stream CSV holds a byte other than 0-9, ',' and newline")
@@ -523,13 +580,14 @@ def _csv_decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
         newline = np.append(newline, len(body))
     start = np.concatenate(([0], newline[:-1] + 1))
     rows = newline > start
-    start, newline = start[rows], newline[rows]
+    if not rows.all():
+        start, newline = start[rows], newline[rows]
     # As many commas as rows; _parse_fields then refuses an empty field, so
     # every comma lies inside its own row.
     if len(comma) != len(newline):
         raise ValueError("tag stream CSV rows must have exactly two columns")
-    channels = _parse_fields(digits, comma, comma - start)
-    timestamps = _parse_fields(digits, newline, newline - comma - 1)
+    channels = _parse_fields(padded, comma, comma - start)
+    timestamps = _parse_fields(padded, newline, newline - comma - 1)
     # A timestamp past 2^63 - 1 wraps negative here, which TagStream refuses.
     return channels, timestamps.astype(np.int64)
 

@@ -209,3 +209,98 @@ def test_tag_config_rejects_a_non_finite_value_in_any_slot(fields, slot, bad):
         fields[name] = tuple(values)
     with pytest.raises(ValueError):
         tagsim.TagSimConfig(**fields)
+
+
+@st.composite
+def hom_scan_fields(draw):
+    """Valid HomScanSpec fields: a non-empty delay range, a positive step."""
+    delay_min = draw(st.floats(-1e6, 1e6))
+    return {
+        "delay_min_fs": delay_min,
+        "delay_max_fs": delay_min + draw(st.floats(1e-3, 1e6)),
+        "delay_step_fs": draw(st.floats(1e-3, 1e3)),
+        "spectrum": sources.SpectrumSpec(),
+        "baseline_visibility": draw(st.floats(0.0, 1.0)),
+    }
+
+
+@st.composite
+def element_fields(draw, modes, param, values):
+    """Valid fields of a circuit element: distinct modes, then its parameter."""
+    indices = st.lists(st.integers(0, 64), min_size=len(modes), max_size=len(modes), unique=True)
+    return dict(zip(modes, draw(indices))) | {param: draw(values)}
+
+
+_LOSS_DB = st.dictionaries(st.text(min_size=1, max_size=8), st.floats(0.0, 60.0), min_size=1)
+_ANGLE = st.floats(-1e3, 1e3)
+
+# Constructor, a strategy of its valid fields, and its numeric fields.  A dict field is a
+# dB breakdown; one of its entries is replaced.
+CONSTRUCTORS = {
+    "SpectrumSpec": (
+        sources.SpectrumSpec,
+        st.fixed_dictionaries(
+            {
+                "center_nm": st.floats(1.0, 1e5),
+                "fwhm_nm": st.floats(1e-3, 1e3),
+                "shape": st.sampled_from(["gaussian", "sinc2"]),
+            }
+        ),
+        ["center_nm", "fwhm_nm"],
+    ),
+    "SourceRateSpec": (
+        sources.SourceRateSpec,
+        st.fixed_dictionaries(
+            {"brightness_pairs_per_s_per_mw": st.floats(0.0, 1e12), "pump_mw": st.floats(0.0, 1e3)}
+        ),
+        ["brightness_pairs_per_s_per_mw", "pump_mw"],
+    ),
+    "HomScanSpec": (
+        hom.HomScanSpec,
+        hom_scan_fields(),
+        ["delay_min_fs", "delay_max_fs", "delay_step_fs", "baseline_visibility"],
+    ),
+    "LossSpec": (
+        detection.LossSpec,
+        st.fixed_dictionaries({"breakdown_a_db": _LOSS_DB, "breakdown_b_db": _LOSS_DB}),
+        ["breakdown_a_db", "breakdown_b_db"],
+    ),
+    "ThermoOpticCalibration": (
+        circuit.ThermoOpticCalibration,
+        st.fixed_dictionaries(
+            {"theta0": _ANGLE, "rad_per_mw": st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)}
+        ),
+        ["theta0", "rad_per_mw"],
+    ),
+    "PhaseShifter": (
+        circuit.PhaseShifter,
+        element_fields(["mode"], "theta", _ANGLE),
+        ["mode", "theta"],
+    ),
+    "Coupler": (
+        circuit.Coupler,
+        element_fields(["mode_i", "mode_j"], "mixing", _ANGLE),
+        ["mode_i", "mode_j", "mixing"],
+    ),
+    "Loss": (
+        circuit.Loss,
+        element_fields(["mode"], "transmission", st.floats(0.0, 1.0)),
+        ["mode", "transmission"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+@given(data=st.data(), bad=NON_FINITE)
+def test_constructor_rejects_a_non_finite_value_in_any_field(name, data, bad):
+    build, valid_fields, numeric = CONSTRUCTORS[name]
+    fields = data.draw(valid_fields)
+    build(**fields)
+    field = data.draw(st.sampled_from(numeric))
+    if isinstance(fields[field], dict):
+        entry = data.draw(st.sampled_from(sorted(fields[field])))
+        fields[field] = fields[field] | {entry: bad}
+    else:
+        fields[field] = bad
+    with pytest.raises(ValueError):
+        build(**fields)

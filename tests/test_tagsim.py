@@ -622,6 +622,35 @@ class TestFringeFromTags:
             fringe_from_tags(scans, window_ps=100.0)
 
 
+# Channel ranges cycled over the stamp-width runs: each single width, and each mix.
+_CHANNEL_RANGES = [(0, 9), (10, 99), (100, 255), (0, 255), (0, 99), (10, 255)]
+
+
+@pytest.fixture
+def large_stream(request):
+    """A seeded stream of more than 50 k records that exercises every CSV writer path.
+
+    "all_widths": a run of 3000 records for each stamp width of 1 to 19 digits,
+    with 0, 10^k - 1, 10^k and 2^63 - 1 among the stamps.  The runs' channels
+    cycle through _CHANNEL_RANGES, so runs of one channel width and runs of
+    mixed 1-, 2- and 3-digit ids both occur.  "sixteen_channels": ids 0-15 at
+    random, stamps in [0, 10^12).
+    """
+    rng = np.random.default_rng(20240412)
+    if request.param == "sixteen_channels":
+        n = 60_000
+        timestamps = np.sort(rng.integers(0, 10**12, n))
+        return TagStream(rng.integers(0, 16, n), timestamps, 1.0, tuple(range(16)))
+    channels, timestamps = [], []
+    for d in range(1, 20):
+        low, high = (0 if d == 1 else 10 ** (d - 1)), min(10**d, 2**63)
+        run = rng.integers(low, high, 3000, endpoint=False)
+        run[:2] = (low, high - 1)
+        timestamps.append(np.sort(run))
+        channels.append(rng.integers(*_CHANNEL_RANGES[d % 6], 3000, endpoint=True))
+    return TagStream(np.concatenate(channels), np.concatenate(timestamps), 1e7, tuple(range(256)))
+
+
 class TestStreamIO:
     def test_binary_round_trip(self, tmp_path):
         stream = generate_tags(config(jitter_sigma_ps=30.0, seed=17))
@@ -756,6 +785,15 @@ class TestStreamIO:
         assert np.array_equal(back.channels, stream.channels)
         assert np.array_equal(back.timestamps_ps, stream.timestamps_ps)
 
+    @pytest.mark.parametrize("large_stream", ["all_widths", "sixteen_channels"], indirect=True)
+    def test_csv_codec_equals_the_loops_on_a_large_stream(self, large_stream):
+        data = tags_to_bytes(large_stream, fmt="csv")
+        assert data == csv_encode_loop(large_stream)
+        assert same_stream(tags_from_bytes(data, fmt="csv"), csv_decode_loop(data))
+        back = tags_from_bytes(data, fmt="csv", duration_s=large_stream.duration_s)
+        assert np.array_equal(back.channels, large_stream.channels)
+        assert np.array_equal(back.timestamps_ps, large_stream.timestamps_ps)
+
     @settings(max_examples=400, deadline=None)
     @given(csv_bodies())
     def test_csv_reader_agrees_with_loop_on_any_body(self, body):
@@ -839,6 +877,18 @@ class TestStreamValidation:
     def test_channel_id_not_a_uint8_integer_rejected(self, bad_id):
         with pytest.raises(ValueError):
             TagStream(np.array([0]), np.array([0]), 1.0, channel_ids=(0, bad_id))
+
+    @pytest.mark.parametrize("ids", [(0, 0, 1), (0, 1, 2, 3, 2), (np.uint8(7), 7)])
+    def test_duplicate_channel_ids_rejected(self, ids):
+        # singles() would silently collapse them, and the binary header would keep them.
+        with pytest.raises(ValueError, match="distinct"):
+            TagStream(np.array([0]), np.array([0]), 1.0, channel_ids=ids)
+
+    def test_binary_header_with_duplicate_channel_ids_rejected(self):
+        data = tags_to_bytes(TagStream(np.array([0]), np.array([5]), 1.0, (0, 1)), fmt="binary")
+        # The ids (0, 1) follow the magic, the f64 duration and the u8 id count.
+        with pytest.raises(ValueError, match="distinct"):
+            tags_from_bytes(data[:17] + bytes([0, 0]) + data[19:], fmt="binary")
 
     @pytest.mark.parametrize("channel", [0.5, math.nan, -1.0, 300.0])
     def test_non_integer_channel_rejected(self, channel):
