@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .fock import (
     DensityMatrix,
     ModeUnitary,
-    PureState,
     enumerate_basis,
     enumerate_sectors,
     evolve,
@@ -19,7 +18,6 @@ __all__ = [
     "__version__",
     "DensityMatrix",
     "ModeUnitary",
-    "PureState",
     "enumerate_basis",
     "enumerate_sectors",
     "evolve",

@@ -140,10 +140,10 @@ def mzi_unitary(theta: float, mixing: float = math.pi / 4) -> ModeUnitary:
     return compose(mzi_circuit(theta, mixing))[0]
 
 
-def mzi_circuit(theta: float, mixing: float = math.pi / 4, mode_count: int = 2) -> CircuitSpec:
+def mzi_circuit(theta: float, mixing: float = math.pi / 4) -> CircuitSpec:
     """Standard two-mode MZI netlist with the internal phase on mode 1."""
     elements = (Coupler(0, 1, mixing), PhaseShifter(1, theta), Coupler(0, 1, mixing))
-    return CircuitSpec(mode_count, elements)
+    return CircuitSpec(2, elements)
 
 
 def compose(spec: CircuitSpec) -> tuple[ModeUnitary, np.ndarray]:

@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fock import DensityMatrix, PureState, _check_finite, _check_positive, enumerate_sectors
+from .fock import DensityMatrix, _check_finite, _check_positive, enumerate_sectors
 
 __all__ = [
     "DetectionPattern",
@@ -139,12 +139,15 @@ def apply_loss(rho: DensityMatrix, eta_a: float, eta_b: float) -> DensityMatrix:
     return DensityMatrix(out_basis, out)
 
 
-def pattern_probs(state: DensityMatrix | PureState) -> np.ndarray:
+def pattern_probs(state: DensityMatrix) -> np.ndarray:
     """Probabilities of the three two-photon patterns, in DETECTION_PATTERNS order.
 
-    The state may span several photon-number sectors (after loss); the
-    result then sums to the two-photon sector weight rather than one.
+    The state must be two-mode.  It may span several photon-number sectors
+    (after loss); the result then sums to the two-photon sector weight
+    rather than one.
     """
+    if state.mode_count != 2:
+        raise ValueError(f"pattern probabilities need two modes, got {state.mode_count}")
     diag = state.probabilities()
     index = {occ: i for i, occ in enumerate(state.basis)}
     probs = np.zeros(3)

@@ -11,11 +11,12 @@ Conventions used throughout the package:
   photon-number bases (produced by loss channels) are ordered by total
   photon number descending, then descending-lexicographically within each
   sector.
-* ``evolve`` lifts only the Fock columns its input occupies: every nonzero
-  amplitude of a pure state, and every index whose row or column of a
-  density matrix holds a nonzero entry.  ``lift_unitary`` takes those
-  columns and walks the permanents of nothing else.  The basis index rows
-  and factorial norms of each (modes, photons) pair are built once and
+* Every quantum state is a ``DensityMatrix``; a pure state is the rank-one
+  case ``rho = psi psi^dag``.
+* ``evolve`` lifts only the Fock columns its input occupies: every index
+  whose row or column of rho holds a nonzero entry.  ``lift_unitary`` takes
+  those columns and walks the permanents of nothing else.  The basis index
+  rows and factorial norms of each (modes, photons) pair are built once and
   cached as read-only arrays.
 """
 
@@ -33,7 +34,6 @@ __all__ = [
     "enumerate_sectors",
     "permanent",
     "ModeUnitary",
-    "PureState",
     "DensityMatrix",
     "lift_unitary",
     "evolve",
@@ -191,45 +191,6 @@ class ModeUnitary:
 
 
 @dataclass(frozen=True)
-class PureState:
-    """Normalized amplitude vector over a fixed photon-number Fock basis."""
-
-    basis: tuple[Occupation, ...]
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        basis = tuple(tuple(occ) for occ in self.basis)
-        _check_basis(basis)
-        totals = {sum(occ) for occ in basis}
-        if len(totals) != 1:
-            raise ValueError("pure states live in a single photon-number sector")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if len(amps) != len(basis):
-            raise ValueError("amplitude vector length must match basis size")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm^2 = {norm} is not 1 within {NORM_ATOL}")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def mode_count(self) -> int:
-        return len(self.basis[0])
-
-    @property
-    def photon_number(self) -> int:
-        return sum(self.basis[0])
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.basis, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite operator over a Fock basis.
 
@@ -316,20 +277,19 @@ def lift_unitary(u: ModeUnitary, photon_number: int, columns=None) -> np.ndarray
     return permanent(subs) / np.outer(norms, norms[cols])
 
 
-def evolve(state, u: ModeUnitary):
-    """Evolve a PureState or DensityMatrix through a mode unitary.
+def evolve(state: DensityMatrix, u: ModeUnitary) -> DensityMatrix:
+    """Evolve a density matrix through a mode unitary.
 
-    Pure states map as ``amps -> L @ amps`` and density matrices as
-    ``rho -> L @ rho @ L^dag`` with ``L = lift_unitary(u, N)``.  Only the
-    columns of L on the state's support S are lifted: ``L[:, S] @ amps[S]``
-    and ``L[:, S] @ rho[S, S] @ L[:, S]^dag``, which is exact because every
-    other amplitude, and every other row and column of rho, is zero.  S
-    reads whole rows and columns of rho, not only its diagonal, since the
-    PSD tolerance admits a tiny coherence next to a zero population.
+    rho maps as ``rho -> L @ rho @ L^dag`` with ``L = lift_unitary(u, N)``.
+    Only the columns of L on the state's support S are lifted:
+    ``L[:, S] @ rho[S, S] @ L[:, S]^dag``, which is exact because every other
+    row and column of rho is zero.  S reads whole rows and columns of rho,
+    not only its diagonal, since the PSD tolerance admits a tiny coherence
+    next to a zero population.
     """
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
-    if not isinstance(state, (PureState, DensityMatrix)):
+    if not isinstance(state, DensityMatrix):
         raise TypeError(f"cannot evolve object of type {type(state).__name__}")
     totals = {sum(occ) for occ in state.basis}
     if len(totals) != 1:
@@ -339,9 +299,6 @@ def evolve(state, u: ModeUnitary):
     n = totals.pop()
     if len(state.basis) != len(_lift_tables(u.mode_count, n)[1]):
         raise ValueError("evolve requires the full N-photon basis enumerate_basis(m, N)")
-    if isinstance(state, PureState):
-        s = np.flatnonzero(state.amplitudes)
-        return PureState(state.basis, lift_unitary(u, n, s) @ state.amplitudes[s])
     nonzero = state.matrix != 0
     s = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     lifted = lift_unitary(u, n, s)

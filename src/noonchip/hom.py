@@ -55,9 +55,11 @@ class HomScanSpec:
 
     def __post_init__(self):
         delay_min = _check_finite("delay min", self.delay_min_fs)
-        if _check_finite("delay max", self.delay_max_fs) <= delay_min:
+        delay_max = _check_finite("delay max", self.delay_max_fs)
+        if delay_max <= delay_min:
             raise ValueError("delay range must be non-empty")
-        _check_positive("delay step", self.delay_step_fs)
+        step = _check_positive("delay step", self.delay_step_fs)
+        _check_finite("delay point count", (delay_max - delay_min) / step)
         _check_finite("baseline visibility", self.baseline_visibility, 0.0, 1.0)
 
     def delays_fs(self) -> np.ndarray:
@@ -90,7 +92,7 @@ def hom_coincidence(tau_fs, spec: HomScanSpec):
     """
     g = _overlap_envelope(tau_fs, spec.spectrum)
     p = 0.5 * (1.0 - spec.baseline_visibility * g)
-    if np.isscalar(tau_fs):
+    if np.ndim(tau_fs) == 0:
         return float(p[0])
     return p
 

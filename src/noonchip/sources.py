@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, PureState, _check_finite, _check_positive, enumerate_basis
+from .fock import DensityMatrix, _check_finite, _check_positive, enumerate_basis
 
 __all__ = [
     "TWO_PHOTON_BASIS",
     "SpectrumSpec",
     "SourceRateSpec",
-    "noon_pure",
     "noon_mixed",
     "spectral_overlap",
     "pair_rate",
@@ -84,32 +83,16 @@ class SourceRateSpec:
         _check_finite("pump power", self.pump_mw, low=0.0)
 
 
-def noon_pure(balance: float, phase: float) -> PureState:
-    """Pure two-photon path state sqrt(b)|2,0> + e^{2i*phi} sqrt(1-b)|0,2>.
-
-    The doubled phase reflects two photons sharing each path; balance 0
-    reduces to pumping a single source (|0,2> only).
-    """
-    _check_finite("balance", balance, 0.0, 1.0)
-    _check_finite("phase", phase)
-    amps = np.array(
-        [
-            math.sqrt(balance),
-            0.0,
-            np.exp(2j * phase) * math.sqrt(1.0 - balance),
-        ],
-        dtype=complex,
-    )
-    return PureState(TWO_PHOTON_BASIS, amps)
-
-
 def noon_mixed(balance: float, phase: float, purity: float) -> DensityMatrix:
     """Partially dephased two-photon path state.
 
     Diagonal (b, 0, 1-b); the |2,0><0,2| coherence is
     purity * sqrt(b(1-b)) * e^{-2i*phase}, the unique interpolation that is
-    pure at purity 1 and fully dephased at purity 0.  Positive semidefinite
-    and trace one for all parameters in range.
+    fully dephased at purity 0 and at purity 1 is the pure state
+    sqrt(b)|2,0> + e^{2i*phase} sqrt(1-b)|0,2>.  The doubled phase reflects
+    two photons sharing each path; balance 0 is a single pumped source
+    (|0,2> only).  Positive semidefinite and trace one for all parameters
+    in range.
     """
     b = _check_finite("balance", balance, 0.0, 1.0)
     _check_finite("phase", phase)

@@ -3,8 +3,10 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
+from test_fock import haar_unitary
 
 from noonchip.circuit import mzi_unitary
 from noonchip.detection import (
@@ -17,8 +19,8 @@ from noonchip.detection import (
     loss_budget,
     pattern_probs,
 )
-from noonchip.fock import DensityMatrix, PureState, enumerate_basis, evolve
-from noonchip.sources import TWO_PHOTON_BASIS, noon_mixed, noon_pure
+from noonchip.fock import DensityMatrix, enumerate_basis, evolve, lift_unitary
+from noonchip.sources import TWO_PHOTON_BASIS, noon_mixed
 
 PHI = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
 
@@ -106,14 +108,43 @@ def two_photon_states(draw):
     return DensityMatrix(TWO_PHOTON_BASIS, rho / trace)
 
 
+def loss_then_unitary(rho, u, eta_a, eta_b):
+    """B @ apply_loss(rho) @ B^dag, B the block-diagonal lift of u over sectors 2, 1, 0."""
+    b = block_diag(*[lift_unitary(u, n) for n in (2, 1, 0)])
+    return b @ apply_loss(rho, eta_a, eta_b).matrix @ b.conj().T
+
+
+class TestLossCommutesWithUnitary:
+    """Uniform loss commutes with any mode unitary; unequal loss does not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_photon_states(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_uniform_loss(self, rho, seed, eta):
+        u = haar_unitary(2, seed)
+        got = apply_loss(evolve(rho, u), eta, eta).matrix
+        assert np.max(np.abs(got - loss_then_unitary(rho, u, eta, eta))) < 1e-12
+
+    def test_unequal_loss_differs(self):
+        rho, u = noon_mixed(0.3, 0.4, 0.9), haar_unitary(2, 5)
+        got = apply_loss(evolve(rho, u), 0.3, 0.9).matrix
+        assert np.max(np.abs(got - loss_then_unitary(rho, u, 0.3, 0.9))) > 1e-2
+
+
 class TestPatternProbs:
     def test_antibunching_phase(self):
-        out = evolve(noon_pure(0.5, math.pi / 2), mzi_unitary(math.pi / 2))
+        out = evolve(noon_mixed(0.5, math.pi / 2, 1.0), mzi_unitary(math.pi / 2))
         assert np.allclose(pattern_probs(out), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_bunching_phase(self):
-        out = evolve(noon_pure(0.5, 0.0), mzi_unitary(math.pi / 2))
+        out = evolve(noon_mixed(0.5, 0.0, 1.0), mzi_unitary(math.pi / 2))
         assert np.allclose(pattern_probs(out), [0.5, 0.0, 0.5], atol=1e-12)
+
+    def test_rejects_a_state_that_is_not_two_mode(self):
+        # All weight on (2, 0, 0): matching 2-tuples against the basis read [0, 0, 0].
+        basis = tuple(enumerate_basis(3, 2))
+        rho = DensityMatrix(basis, np.diag([1.0, 0, 0, 0, 0, 0]))
+        with pytest.raises(ValueError, match="two modes"):
+            pattern_probs(rho)
 
     def test_maximally_mixed(self):
         rho = DensityMatrix(TWO_PHOTON_BASIS, np.eye(3) / 3.0)
@@ -171,7 +202,7 @@ class TestSplitterTree:
         u = mzi_unitary(math.pi / 2)
         same_a, cross = [], []
         for phi in PHI:
-            clicks = pattern_probs(evolve(noon_pure(0.5, phi), u)) * SPLITTER_TREE_DETECTION
+            clicks = pattern_probs(evolve(noon_mixed(0.5, phi, 1.0), u)) * SPLITTER_TREE_DETECTION
             same_a.append(clicks[0])
             cross.append(clicks[1])
         assert max(same_a) == pytest.approx(max(cross) / 4.0, abs=1e-12)
@@ -252,7 +283,7 @@ class TestFringeLaws:
     def test_pattern_complement(self):
         u = mzi_unitary(math.pi / 2)
         for phi in PHI[::7]:
-            probs = pattern_probs(evolve(noon_pure(0.5, phi), u))
+            probs = pattern_probs(evolve(noon_mixed(0.5, phi, 1.0), u))
             assert probs[0] + probs[2] == pytest.approx(1.0 - probs[1], abs=1e-12)
 
     @pytest.mark.parametrize("theta", [0.0, math.pi])

@@ -13,7 +13,6 @@ from noonchip.detection import pattern_probs
 from noonchip.fock import (
     DensityMatrix,
     ModeUnitary,
-    PureState,
     enumerate_basis,
     enumerate_sectors,
     evolve,
@@ -25,6 +24,12 @@ from noonchip.sources import noon_mixed
 
 def haar_unitary(dim, seed):
     return unitary_group.rvs(dim, random_state=np.random.default_rng(seed))
+
+
+def pure(amplitudes):
+    """The rank-one density matrix psi psi^dag of an amplitude vector."""
+    psi = np.asarray(amplitudes, dtype=complex)
+    return np.outer(psi, psi.conj())
 
 
 def _as_square(a):
@@ -257,11 +262,6 @@ class TestStates:
         with pytest.raises(ValueError, match="finite"):
             ModeUnitary(u)
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_pure_state_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            PureState(((1, 0), (0, 1)), np.array([bad, 0.0]))
-
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_density_matrix_rejects_non_finite(self, bad, entry):
@@ -270,13 +270,9 @@ class TestStates:
         with pytest.raises(ValueError, match="finite"):
             DensityMatrix(((1, 0), (0, 1)), rho)
 
-    def test_pure_state_norm_enforced(self):
-        with pytest.raises(ValueError):
-            PureState(((1, 0), (0, 1)), np.array([1.0, 1.0]))
-
     def test_pure_state_requires_canonical_order(self):
-        with pytest.raises(ValueError):
-            PureState(((0, 1), (1, 0)), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="canonical"):
+            DensityMatrix(((0, 1), (1, 0)), pure([1.0, 0.0]))
 
     def test_density_matrix_validation(self):
         basis = ((1, 0), (0, 1))
@@ -297,13 +293,12 @@ class TestStates:
 class TestEvolve:
     def setup_method(self):
         self.basis = tuple(enumerate_basis(2, 2))
-        self.noon = PureState(
-            self.basis, np.array([1.0, 0.0, np.exp(0.6j)]) / math.sqrt(2)
-        )
+        self.psi = np.array([1.0, 0.0, np.exp(0.6j)]) / math.sqrt(2)
+        self.noon = DensityMatrix(self.basis, pure(self.psi))
 
     def test_identity_leaves_state(self):
         out = evolve(self.noon, ModeUnitary(np.eye(2)))
-        assert np.allclose(out.amplitudes, self.noon.amplitudes, atol=1e-14)
+        assert np.allclose(out.matrix, self.noon.matrix, atol=1e-14)
 
     def test_noon_probabilities_through_identity(self):
         out = evolve(self.noon, ModeUnitary(np.eye(2)))
@@ -315,21 +310,23 @@ class TestEvolve:
         # combination anti-bunches completely.
         h = ModeUnitary(np.array([[1, 1j], [1j, 1]]) / math.sqrt(2))
         oracle = two_photon_lift_oracle(h.matrix)
-        minus = PureState(self.basis, np.array([1.0, 0.0, -1.0]) / math.sqrt(2))
-        out_minus = evolve(minus, h)
-        assert abs(out_minus.amplitudes[1]) < 1e-14
-        assert np.allclose(out_minus.amplitudes, oracle @ minus.amplitudes, atol=1e-12)
-        plus = PureState(self.basis, np.array([1.0, 0.0, 1.0]) / math.sqrt(2))
-        out_plus = evolve(plus, h)
-        assert abs(out_plus.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
+        minus = np.array([1.0, 0.0, -1.0]) / math.sqrt(2)
+        out_minus = evolve(DensityMatrix(self.basis, pure(minus)), h)
+        assert abs(out_minus.matrix[1, 1]) < 1e-14
+        assert np.allclose(out_minus.matrix, pure(oracle @ minus), atol=1e-12)
+        plus = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
+        out_plus = evolve(DensityMatrix(self.basis, pure(plus)), h)
+        assert out_plus.matrix[1, 1].real == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_preserved(self):
         u = ModeUnitary(haar_unitary(2, 3))
         out = evolve(self.noon, u)
         assert np.sum(out.probabilities()) == pytest.approx(1.0, abs=1e-12)
+        # A pure state stays pure: rank one, tr(rho^2) = 1.
+        assert np.trace(out.matrix @ out.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_density_evolution_preserves_trace(self):
-        rho = self.noon.to_density()
+        rho = noon_mixed(0.3, 0.6, 0.8)
         u = ModeUnitary(haar_unitary(2, 4))
         out = evolve(rho, u)
         assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
@@ -337,6 +334,11 @@ class TestEvolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evolve(self.noon, ModeUnitary(np.eye(3)))
+
+    @pytest.mark.parametrize("state", [np.eye(3) / 3, None, "rho"], ids=["array", "none", "str"])
+    def test_only_density_matrices_evolve(self, state):
+        with pytest.raises(TypeError):
+            evolve(state, ModeUnitary(np.eye(2)))
 
 
 def random_unitary(m, seed):
@@ -352,7 +354,7 @@ def column_subsets(d, rng):
 
 
 def partial_support_state(m, n, rng, mixed):
-    """A random pure or rank-3 mixed state on a random proper subset of the basis."""
+    """A random rank-1 (pure) or rank-3 (mixed) state on a random proper subset of the basis."""
     d = math.comb(n + m - 1, m - 1)
     support = np.sort(rng.permutation(d)[: max(1, d // 2)])
     basis = tuple(enumerate_basis(m, n))
@@ -363,7 +365,7 @@ def partial_support_state(m, n, rng, mixed):
         return v / np.linalg.norm(v)
 
     if not mixed:
-        return PureState(basis, vector())
+        return DensityMatrix(basis, pure(vector()))
     weights = rng.dirichlet(np.ones(3))
     rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, (vector() for _ in weights)))
     return DensityMatrix(basis, (rho + rho.conj().T) / 2)
@@ -436,11 +438,8 @@ class TestEvolveOnSupport:
             u = ModeUnitary(haar_unitary(m, 70 + seed))
             lifted = lift_unitary(u, n)
             out = evolve(state, u)
-            if mixed:
-                want = lifted @ state.matrix @ lifted.conj().T
-                assert np.max(np.abs(out.matrix - want)) < 1e-12
-            else:
-                assert np.max(np.abs(out.amplitudes - lifted @ state.amplitudes)) < 1e-12
+            want = lifted @ state.matrix @ lifted.conj().T
+            assert np.max(np.abs(out.matrix - want)) < 1e-12
 
     def test_support_reads_rows_and_columns_not_the_diagonal(self):
         # rho[1, 1] = 0 next to a coherence of 1e-6: eigenvalue -1e-12, inside PSD_ATOL.
@@ -455,7 +454,7 @@ class TestEvolveOnSupport:
         assert np.max(np.abs(out.matrix - lifted @ rho @ lifted.conj().T)) < 1e-14
 
     def test_partial_basis_rejected(self):
-        state = PureState(((2, 0), (1, 1)), np.array([1.0, 0.0]))
+        state = DensityMatrix(((2, 0), (1, 1)), pure([1.0, 0.0]))
         with pytest.raises(ValueError, match="full"):
             evolve(state, ModeUnitary(np.eye(2)))
 

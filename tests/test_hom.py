@@ -97,6 +97,16 @@ class TestHomCoincidence:
         ints = np.arange(-4, 5, dtype=np.int32)
         assert np.array_equal(hom_coincidence(ints, spec), hom_coincidence(ints.astype(float), spec))
 
+    @pytest.mark.parametrize(
+        "tau", [np.array(3.0), np.array(3, dtype=np.int32), np.float64(3.0), 3], ids=repr
+    )
+    def test_zero_d_delay_gives_a_float(self, tau):
+        # np.isscalar is False for a 0-d array, which gave a shape-(1,) array.
+        spec = HomScanSpec(spectrum=GAUSS_50NM)
+        p = hom_coincidence(tau, spec)
+        assert type(p) is float and p == hom_coincidence(3.0, spec)
+        assert hom_coincidence([3.0], spec).shape == (1,)
+
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_sinc2_matches_untruncated_quadrature(self):
         # Delays either side of the triangle's half point (36 fs) and its

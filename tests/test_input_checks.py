@@ -21,6 +21,11 @@ SCANS = [(phi, STREAM) for phi in PHI]
 CSV = b"channel,timestamp_ps\n0,5\n"
 
 
+def noon_pure(balance, phase):
+    """The pure two-photon path state: noon_mixed at purity 1."""
+    return sources.noon_mixed(balance, phase, 1.0)
+
+
 def tag_config(**kw):
     base = {"pair_rate_hz": 1e3, "pattern_probs": (0.0, 1.0, 0.0), "duration_s": 1.0, "seed": 1}
     return tagsim.TagSimConfig(**(base | kw))
@@ -32,8 +37,8 @@ PROBES = [
     ("SpectrumSpec.fwhm_nm", lambda x: sources.SpectrumSpec(fwhm_nm=x), 0.5, -1.0),
     ("SourceRateSpec.brightness", lambda x: sources.SourceRateSpec(x, 1.0), 0.5, -1.0),
     ("SourceRateSpec.pump_mw", lambda x: sources.SourceRateSpec(1.0, x), 0.5, -1.0),
-    ("noon_pure.balance", lambda x: sources.noon_pure(x, 0.0), 0.5, 1.5),
-    ("noon_pure.phase", lambda x: sources.noon_pure(0.5, x), 0.5, None),
+    ("noon_pure.balance", lambda x: noon_pure(x, 0.0), 0.5, 1.5),
+    ("noon_pure.phase", lambda x: noon_pure(0.5, x), 0.5, None),
     ("noon_mixed.balance", lambda x: sources.noon_mixed(x, 0.0, 1.0), 0.5, -0.5),
     ("noon_mixed.phase", lambda x: sources.noon_mixed(0.5, x, 1.0), 0.5, None),
     ("noon_mixed.purity", lambda x: sources.noon_mixed(0.5, 0.0, x), 0.5, 1.5),
@@ -117,16 +122,17 @@ PROBES = [
 BAD_VALUES = [math.nan, math.inf, -math.inf, True, "1"]
 
 # The probes that raised TypeError or were accepted as 1 before every number went through one
-# check, then those that a numpy cast read as numbers until dtypes were checked.
+# check, then those that a numpy cast read as numbers until dtypes were checked, then a delay
+# grid with an infinite point count, which delays_fs() met as OverflowError.
 FORMER_ESCAPES = [
     ("SpectrumSpec(center_nm='x')", lambda: sources.SpectrumSpec(center_nm="x")),
     ("HomScanSpec(delay_step_fs=None)", lambda: hom.HomScanSpec(delay_step_fs=None)),
     ("TagSimConfig(1.0, 0.5, 1.0, 1)", lambda: tagsim.TagSimConfig(1.0, 0.5, 1.0, 1)),
-    ("noon_pure('0.5', 0.0)", lambda: sources.noon_pure("0.5", 0.0)),
+    ("noon_pure('0.5', 0.0)", lambda: noon_pure("0.5", 0.0)),
     ("apply_loss(rho, '1', 1.0)", lambda: detection.apply_loss(RHO, "1", 1.0)),
     ("SpectrumSpec(center_nm=True)", lambda: sources.SpectrumSpec(center_nm=True)),
     ("HomScanSpec(baseline_visibility=True)", lambda: hom.HomScanSpec(baseline_visibility=True)),
-    ("noon_pure(True, 0.0)", lambda: sources.noon_pure(True, 0.0)),
+    ("noon_pure(True, 0.0)", lambda: noon_pure(True, 0.0)),
     ("noon_mixed(0.5, 0.0, True)", lambda: sources.noon_mixed(0.5, 0.0, True)),
     ("apply_loss(rho, True, 1.0)", lambda: detection.apply_loss(RHO, True, 1.0)),
     ("TagStream(duration_s=True)", lambda: tagsim.TagStream(np.array([0]), np.array([0]), True)),
@@ -141,6 +147,7 @@ FORMER_ESCAPES = [
     ("hom_coincidence('1')", lambda: hom.hom_coincidence("1", hom.HomScanSpec())),
     ("hom_coincidence(True)", lambda: hom.hom_coincidence(True, hom.HomScanSpec())),
     ("hom_coincidence(['1'])", lambda: hom.hom_coincidence(np.array(["1"]), hom.HomScanSpec())),
+    ("HomScanSpec(-1e300, 1e300, 1e-300)", lambda: hom.HomScanSpec(-1e300, 1e300, 1e-300)),
 ]
 
 CASES = [

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from test_fock import pure
 
 from noonchip.sources import (
     SourceRateSpec,
     SpectrumSpec,
     noon_mixed,
-    noon_pure,
     pair_rate,
     spectral_overlap,
 )
@@ -24,24 +24,27 @@ def simpson_overlap_oracle(s1, s2):
 
 
 class TestNoonPure:
+    """The pure two-photon path state is noon_mixed at purity 1."""
+
     def test_balanced_zero_phase(self):
-        state = noon_pure(0.5, 0.0)
-        expected = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-        assert np.allclose(state.amplitudes, expected, atol=1e-15)
+        rho = noon_mixed(0.5, 0.0, 1.0)
+        expected = pure(np.array([1.0, 0.0, 1.0]) / math.sqrt(2))
+        assert np.allclose(rho.matrix, expected, atol=1e-15)
 
     def test_single_source_limit(self):
-        state = noon_pure(0.0, 1.3)
-        assert abs(state.amplitudes[2]) == pytest.approx(1.0)
-        assert np.allclose(state.probabilities(), [0.0, 0.0, 1.0], atol=1e-15)
+        rho = noon_mixed(0.0, 1.3, 1.0)
+        assert np.allclose(rho.matrix, np.diag([0.0, 0.0, 1.0]), atol=1e-15)
 
     def test_phase_enters_doubled(self):
-        state = noon_pure(0.5, math.pi / 4)
-        rel = state.amplitudes[2] / state.amplitudes[0]
-        assert rel == pytest.approx(np.exp(1j * math.pi / 2), abs=1e-12)
+        # rho[0, 2] = sqrt(b(1-b)) e^{-2i*phi}: the |0,2> amplitude carries e^{2i*phi}.
+        for b in (0.5, 0.2):
+            rho = noon_mixed(b, math.pi / 4, 1.0)
+            want = math.sqrt(b * (1 - b)) * np.exp(-1j * math.pi / 2)
+            assert rho.matrix[0, 2] == pytest.approx(want, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            noon_pure(1.5, 0.0)
+            noon_mixed(1.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             noon_mixed(0.5, 0.0, -0.1)
 
@@ -49,13 +52,15 @@ class TestNoonPure:
 class TestNoonMixed:
     def test_full_purity_is_projector(self):
         rho = noon_mixed(0.5, 0.0, 1.0)
-        psi = noon_pure(0.5, 0.0)
-        assert np.allclose(rho.matrix, psi.to_density().matrix, atol=1e-12)
+        assert np.allclose(rho.matrix, pure([1.0, 0.0, 1.0]) / 2, atol=1e-12)
+        assert np.linalg.matrix_rank(rho.matrix, tol=1e-12) == 1
 
     def test_projector_at_general_parameters(self):
-        rho = noon_mixed(0.3, 0.8, 1.0)
-        psi = noon_pure(0.3, 0.8)
-        assert np.allclose(rho.matrix, psi.to_density().matrix, atol=1e-12)
+        for b in np.linspace(0.0, 1.0, 21):
+            for phi in np.linspace(-math.pi, math.pi, 25):
+                rho = noon_mixed(b, phi, 1.0)
+                psi = [math.sqrt(b), 0.0, np.exp(2j * phi) * math.sqrt(1 - b)]
+                assert np.allclose(rho.matrix, pure(psi), rtol=0, atol=1e-15)
 
     def test_zero_purity_is_dephased(self):
         rho = noon_mixed(0.5, 0.7, 0.0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from noonchip.circuit import mzi_unitary
 from noonchip.detection import SPLITTER_TREE_DETECTION, pattern_probs
 from noonchip.fock import evolve
-from noonchip.sources import noon_mixed, noon_pure
+from noonchip.sources import noon_mixed
 from noonchip.tagsim import (
     STANDARD_CHANNELS,
     STANDARD_PAIRS,
@@ -539,7 +539,7 @@ class TestCountCoincidences:
 
 class TestPatternConvergence:
     def test_fractions_match_analytic_model(self):
-        state = evolve(noon_pure(0.5, 1.1), mzi_unitary(math.pi / 2))
+        state = evolve(noon_mixed(0.5, 1.1, 1.0), mzi_unitary(math.pi / 2))
         probs = pattern_probs(state)
         clicks = probs * SPLITTER_TREE_DETECTION
         expected = {"2a0b": clicks[0], "1a1b": clicks[1], "0a2b": clicks[2]}
