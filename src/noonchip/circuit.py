@@ -5,10 +5,12 @@ Each element is a frozen dataclass: its mode indices, then one parameter
 Validation, JSON and composition all read that layout.  Elements are
 applied in list order (physical propagation order), so the composed mode
 matrix of ``[A, B]`` is ``U_B @ U_A``.  Loss elements do not enter the
-unitary; their transmissions are factored into a per-mode record which
-downstream code applies through the detection loss channel.  That
-factoring is exact when loss sits at the circuit boundaries, which is where
-this device concentrates it (output couplers and filters).
+unitary: wherever they sit, their transmissions multiply into a per-mode
+record that the detection loss channel applies after the unitary.  That is
+exact only for loss after the last coupler on its mode, or equal on every
+mode; ``[Loss(0, 0.5), Coupler(0, 1)]`` wrongly composes to the same
+``(U, [0.5, 1])`` as the reverse order.  This device keeps its loss at the
+outputs; ROADMAP item 12 replaces the record with a transfer matrix.
 """
 
 from __future__ import annotations
@@ -127,8 +129,7 @@ class ThermoOpticCalibration:
 
 def coupler_unitary(mixing: float = math.pi / 4) -> ModeUnitary:
     """[[cos k, i sin k], [i sin k, cos k]]; mixing pi/4 is the 50:50 case."""
-    c, s = math.cos(mixing), math.sin(mixing)
-    return ModeUnitary(np.array([[c, 1j * s], [1j * s, c]]))
+    return compose(CircuitSpec(2, (Coupler(0, 1, mixing),)))[0]
 
 
 def mzi_unitary(theta: float, mixing: float = math.pi / 4) -> ModeUnitary:
@@ -154,8 +155,9 @@ def compose(spec: CircuitSpec) -> tuple[ModeUnitary, np.ndarray]:
         if isinstance(el, PhaseShifter):
             u[el.mode] *= np.exp(1j * el.theta)
         elif isinstance(el, Coupler):
+            c, s = math.cos(el.mixing), math.sin(el.mixing)
             rows = [el.mode_i, el.mode_j]
-            u[rows] = coupler_unitary(el.mixing).matrix @ u[rows]
+            u[rows] = np.array([[c, 1j * s], [1j * s, c]]) @ u[rows]
         else:
             transmissions[el.mode] *= el.transmission
     return ModeUnitary(u), transmissions

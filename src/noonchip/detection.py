@@ -117,7 +117,7 @@ def apply_loss(rho: DensityMatrix, eta_a: float, eta_b: float) -> DensityMatrix:
     if rho.mode_count != 2:
         raise ValueError("loss channel is defined for the two-mode device")
 
-    n_max = max(sum(occ) for occ in rho.basis)
+    n_max = sum(rho.basis[0])  # whole sectors from the top: also the largest occupation
     out_basis = tuple(enumerate_sectors(2, n_max))
     out_index = {occ: i for i, occ in enumerate(out_basis)}
     in_basis = rho.basis
@@ -125,9 +125,8 @@ def apply_loss(rho: DensityMatrix, eta_a: float, eta_b: float) -> DensityMatrix:
 
     # Kraus operator per (photons lost in a, photons lost in b).
     out = np.zeros((d_out, d_out), dtype=complex)
-    max_occ = max(max(occ) for occ in rho.basis)
-    for la in range(max_occ + 1):
-        for lb in range(max_occ + 1):
+    for la in range(n_max + 1):
+        for lb in range(n_max + 1):
             k = np.zeros((d_out, d_in))
             for j, (na, nb) in enumerate(in_basis):
                 if la > na or lb > nb:

@@ -6,11 +6,11 @@ Conventions used throughout the package:
   ``sum_k U[k, j] a_k^dag`` (column convention).  The single-photon sector
   of the lifted operator is therefore ``U`` itself, and lifting is a group
   homomorphism: ``lift(U @ V, N) == lift(U, N) @ lift(V, N)``.
-* Fock bases are ordered descending-lexicographically by occupation, e.g.
-  for two modes and two photons: ``(2, 0), (1, 1), (0, 2)``.  Mixed
-  photon-number bases (produced by loss channels) are ordered by total
-  photon number descending, then descending-lexicographically within each
-  sector.
+* A Fock basis is whole photon-number sectors from high to low, each ordered
+  descending-lexicographically, e.g. for two modes and two photons:
+  ``(2, 0), (1, 1), (0, 2)``.  ``enumerate_basis(m, N)`` is one sector and
+  ``enumerate_sectors(m, N)`` (after loss) is N down to 0.  No other basis
+  is accepted, so each sector is a contiguous slice of the basis.
 * Every quantum state is a ``DensityMatrix``; a pure state is the rank-one
   case ``rho = psi psi^dag``.
 * ``evolve`` lifts only the Fock columns its input occupies: every index
@@ -42,6 +42,7 @@ __all__ = [
 UNITARY_ATOL = 1e-10
 NORM_ATOL = 1e-12
 PSD_ATOL = 1e-10
+_MAX_PERMANENT_DIM = 20  # so the largest photon number a lift takes; 20! fits in int64
 
 Occupation = tuple[int, ...]
 
@@ -103,11 +104,14 @@ def enumerate_basis(mode_count: int, photon_number: int) -> list[Occupation]:
 
 def enumerate_sectors(mode_count: int, max_photon_number: int) -> list[Occupation]:
     """Concatenated bases for photon numbers max_photon_number down to 0."""
-    _check_index("max_photon_number", max_photon_number)
-    out: list[Occupation] = []
-    for n in range(max_photon_number, -1, -1):
-        out.extend(enumerate_basis(mode_count, n))
-    return out
+    mode_count = _check_index("mode_count", mode_count, low=1)
+    return list(_sectors(mode_count, _check_index("max_photon_number", max_photon_number), 0))
+
+
+@functools.lru_cache(maxsize=32)
+def _sectors(mode_count: int, high: int, low: int) -> tuple[Occupation, ...]:
+    """enumerate_basis(m, n) for n from high down to low, concatenated; cached."""
+    return tuple(occ for n in range(high, low - 1, -1) for occ in enumerate_basis(mode_count, n))
 
 
 def permanent(a: np.ndarray) -> complex | np.ndarray:
@@ -124,8 +128,8 @@ def permanent(a: np.ndarray) -> complex | np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     n = a.shape[-1]
-    if n > 20:
-        raise ValueError("permanent supports dimension <= 20")
+    if n > _MAX_PERMANENT_DIM:
+        raise ValueError(f"permanent supports dimension <= {_MAX_PERMANENT_DIM}")
 
     # Gray-code walk over column subsets; row_sums tracks
     # sum_{j in S} a[..., i, j] for the current subset S.  The empty subset
@@ -147,25 +151,6 @@ def permanent(a: np.ndarray) -> complex | np.ndarray:
     if n & 1:
         total = -total
     return complex(total) if total.ndim == 0 else total
-
-
-def _canonical_key(occ: Occupation):
-    # Sector-major (total photon number descending), then descending lex.
-    return (-sum(occ), tuple(-n for n in occ))
-
-
-def _check_basis(basis: tuple[Occupation, ...]) -> None:
-    if not basis:
-        raise ValueError("basis must not be empty")
-    m = len(basis[0])
-    if any(len(occ) != m for occ in basis):
-        raise ValueError("all basis states must have the same mode count")
-    if any(n < 0 for occ in basis for n in occ):
-        raise ValueError("occupations must be non-negative")
-    if len(set(basis)) != len(basis):
-        raise ValueError("basis states must be unique")
-    if list(basis) != sorted(basis, key=_canonical_key):
-        raise ValueError("basis must be in canonical (descending lexicographic) order")
 
 
 @dataclass(frozen=True)
@@ -194,15 +179,25 @@ class ModeUnitary:
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite operator over a Fock basis.
 
-    The basis may span several photon-number sectors (needed after loss).
+    The basis is whole photon-number sectors from high to low.  Its state count
+    (``math.comb``) is checked before any enumeration is built, then one
+    comparison with the cached enumeration, whose tuple the instance keeps.
     """
 
     basis: tuple[Occupation, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        basis = tuple(tuple(occ) for occ in self.basis)
-        _check_basis(basis)
+        basis = tuple(map(tuple, self.basis))
+        entries = [n for occ in basis for n in occ]
+        integral = all(issubclass(k, np.integer) for k in {type(n) for n in entries} - {int})
+        if not entries or not integral or min(entries) < 0:
+            raise ValueError("basis must hold occupations that are integers >= 0")
+        m, high, low = len(basis[0]), int(sum(basis[0])), int(sum(basis[-1]))
+        count = math.comb(high + m, m) - math.comb(low + m - 1, m)
+        if len(basis) != count or basis != _sectors(m, high, low):
+            raise ValueError("basis must be whole photon-number sectors in canonical order")
+        basis = _sectors(m, high, low)
         rho = np.asarray(self.matrix, dtype=complex)
         d = len(basis)
         if rho.shape != (d, d):
@@ -267,11 +262,14 @@ def lift_unitary(u: ModeUnitary, photon_number: int, columns=None) -> np.ndarray
     unitary over enumerate_basis(m, N); otherwise it is the d x len(columns)
     matrix of just those input columns, in the order given, with the same
     bits as the matching columns of the full lift.  The basis index rows
-    and factorial norms are cached per (m, N).
+    and factorial norms are cached per (m, N), for N up to 20.
     """
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
-    idx, norms = _lift_tables(u.mode_count, _check_index("photon_number", photon_number))
+    n = _check_index("photon_number", photon_number)
+    if n > _MAX_PERMANENT_DIM:
+        raise ValueError(f"photon_number must be <= {_MAX_PERMANENT_DIM}, got {n}")
+    idx, norms = _lift_tables(u.mode_count, n)
     cols = slice(None) if columns is None else _check_columns(columns, len(norms))
     subs = u.matrix[idx[:, None, :, None], idx[cols][None, :, None, :]]
     return permanent(subs) / np.outer(norms, norms[cols])
@@ -285,20 +283,17 @@ def evolve(state: DensityMatrix, u: ModeUnitary) -> DensityMatrix:
     ``L[:, S] @ rho[S, S] @ L[:, S]^dag``, which is exact because every other
     row and column of rho is zero.  S reads whole rows and columns of rho,
     not only its diagonal, since the PSD tolerance admits a tiny coherence
-    next to a zero population.
+    next to a zero population.  The state must be one photon-number sector.
     """
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
     if not isinstance(state, DensityMatrix):
         raise TypeError(f"cannot evolve object of type {type(state).__name__}")
-    totals = {sum(occ) for occ in state.basis}
-    if len(totals) != 1:
+    n = sum(state.basis[0])
+    if n != sum(state.basis[-1]):
         raise ValueError("evolve requires a single photon-number sector")
     if state.mode_count != u.mode_count:
         raise ValueError("mode count mismatch between state and unitary")
-    n = totals.pop()
-    if len(state.basis) != len(_lift_tables(u.mode_count, n)[1]):
-        raise ValueError("evolve requires the full N-photon basis enumerate_basis(m, N)")
     nonzero = state.matrix != 0
     s = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     lifted = lift_unitary(u, n, s)

@@ -39,6 +39,8 @@ __all__ = [
     "bandwidth_from_dip",
 ]
 
+_MAX_DELAY_POINTS = 10**7  # 80 MB of float64 delays
+
 # Dip FWHM (fs) times the intensity FWHM W (rad/fs), per spectral shape.
 _DIP_FWHM_TIMES_W = {"gaussian": 4.0 * math.log(2.0), "sinc2": 2.0 * _SINC_HALF_X}
 
@@ -59,7 +61,7 @@ class HomScanSpec:
         if delay_max <= delay_min:
             raise ValueError("delay range must be non-empty")
         step = _check_positive("delay step", self.delay_step_fs)
-        _check_finite("delay point count", (delay_max - delay_min) / step)
+        _check_finite("delay point count", (delay_max - delay_min) / step, high=_MAX_DELAY_POINTS)
         _check_finite("baseline visibility", self.baseline_visibility, 0.0, 1.0)
 
     def delays_fs(self) -> np.ndarray:

@@ -250,6 +250,28 @@ class TestLiftUnitary:
         with pytest.raises(ValueError):
             lift_unitary(np.array([[1.0, 0.0], [0.0, 1.1]]), 2)
 
+    def test_photon_number_above_the_permanent_limit(self):
+        # 21! overflows the int64 factorial norms; the limit must refuse N = 21 before them.
+        with pytest.raises(ValueError, match="<= 20"):
+            lift_unitary(ModeUnitary(np.eye(1)), 21)
+        state = DensityMatrix(tuple(enumerate_basis(2, 21)), np.diag([1.0] + [0.0] * 21))
+        with pytest.raises(ValueError, match="<= 20"):
+            evolve(state, ModeUnitary(np.eye(2)))
+
+    def test_twenty_photons_on_one_mode_lift(self, monkeypatch):
+        # The real 20 x 20 Ryser walk takes seconds; a stub returning 20! checks the
+        # tables and norms at the limit: Per(M) / (sqrt(20!) sqrt(20!)) = 1.
+        shapes = []
+
+        def per(subs):
+            shapes.append(subs.shape)
+            return np.full(subs.shape[:-2], float(math.factorial(20)))
+
+        monkeypatch.setattr(fock, "permanent", per)
+        lifted = lift_unitary(ModeUnitary(np.eye(1)), 20)
+        assert shapes == [(1, 1, 20, 20)]
+        assert lifted == pytest.approx(np.ones((1, 1)), rel=1e-15)
+
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -288,6 +310,53 @@ class TestStates:
         rho = DensityMatrix(basis, np.diag([0.25, 0.25, 0.5]))
         assert rho.sector_weight(1) == pytest.approx(0.5)
         assert rho.sector_weight(0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("basis", [((2,),), ((0, 0),)])
+    def test_single_mode_and_vacuum_bases_are_accepted(self, basis):
+        d = len(basis)
+        assert DensityMatrix(basis, np.eye(d) / d).basis == basis
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            ((2, 0), (1, 1), (0, 2), (0, 0)),  # sector 1 skipped
+            ((0, 0), (1, 0), (0, 1)),  # sectors 1 -> 0 in reversed order
+            ((2, 0), (1, 1)),  # part of a sector
+            ((1, 0), (0, 1, 0)),  # mixed mode counts
+            ((1, 0), (1, 0)),  # a repeated state
+        ],
+    )
+    def test_basis_must_be_whole_sectors(self, basis):
+        d = len(basis)
+        with pytest.raises(ValueError, match="whole photon-number sectors"):
+            DensityMatrix(basis, np.eye(d) / d)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [((1.0, 0), (0, 1)), ((2, 0), (1.0, 1), (0, 2)), ((0.5, 0.5),), ((True, 0), (0, 1))]
+        + [((-1, 0),), ((-1, 1),), ((2, -1), (1, 0), (0, 1))],
+    )
+    def test_occupations_must_be_non_negative_integers(self, basis):
+        d = len(basis)
+        with pytest.raises(ValueError, match="integers >= 0"):
+            DensityMatrix(basis, np.eye(d) / d)
+
+    def test_huge_photon_number_refused_before_enumerating(self, monkeypatch):
+        # One state of 10^6 photons: the count C(10^6 + 2, 2) - C(10^6 + 1, 2) = 10^6 + 1
+        # refuses it without building that sector.
+        calls = []
+        sectors = fock._sectors
+        monkeypatch.setattr(fock, "_sectors", lambda *args: calls.append(args) or sectors(*args))
+        with pytest.raises(ValueError, match="whole photon-number sectors"):
+            DensityMatrix(((10**6, 0),), np.eye(1))
+        assert calls == []
+        DensityMatrix(((1, 0), (0, 1)), np.eye(2) / 2)
+        assert calls  # the recorder does see an accepted basis being built
+
+    def test_basis_is_the_cached_enumeration(self):
+        rho = DensityMatrix([[np.int64(1), 0], [0, np.int64(1)]], np.eye(2) / 2)
+        assert rho.basis is fock._sectors(2, 1, 1)
+        assert {type(n) for occ in rho.basis for n in occ} == {int}
 
 
 class TestEvolve:
@@ -334,6 +403,11 @@ class TestEvolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evolve(self.noon, ModeUnitary(np.eye(3)))
+
+    def test_several_sectors_rejected(self):
+        state = DensityMatrix(((1, 0), (0, 1), (0, 0)), np.diag([0.25, 0.25, 0.5]))
+        with pytest.raises(ValueError, match="single photon-number sector"):
+            evolve(state, ModeUnitary(np.eye(2)))
 
     @pytest.mark.parametrize("state", [np.eye(3) / 3, None, "rho"], ids=["array", "none", "str"])
     def test_only_density_matrices_evolve(self, state):
@@ -454,9 +528,9 @@ class TestEvolveOnSupport:
         assert np.max(np.abs(out.matrix - lifted @ rho @ lifted.conj().T)) < 1e-14
 
     def test_partial_basis_rejected(self):
-        state = DensityMatrix(((2, 0), (1, 1)), pure([1.0, 0.0]))
-        with pytest.raises(ValueError, match="full"):
-            evolve(state, ModeUnitary(np.eye(2)))
+        # Part of the N = 2 sector: refused where it is built, so evolve never meets it.
+        with pytest.raises(ValueError, match="whole photon-number sectors"):
+            DensityMatrix(((2, 0), (1, 1)), pure([1.0, 0.0]))
 
     def test_four_photon_device_state(self):
         # The |1,1,1,1> input of the 4-mode heater sweep: one lifted column.

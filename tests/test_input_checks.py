@@ -123,7 +123,8 @@ BAD_VALUES = [math.nan, math.inf, -math.inf, True, "1"]
 
 # The probes that raised TypeError or were accepted as 1 before every number went through one
 # check, then those that a numpy cast read as numbers until dtypes were checked, then a delay
-# grid with an infinite point count, which delays_fs() met as OverflowError.
+# grid with an infinite point count, which delays_fs() met as OverflowError, and one of
+# 10^16 points, which it met as MemoryError.
 FORMER_ESCAPES = [
     ("SpectrumSpec(center_nm='x')", lambda: sources.SpectrumSpec(center_nm="x")),
     ("HomScanSpec(delay_step_fs=None)", lambda: hom.HomScanSpec(delay_step_fs=None)),
@@ -148,6 +149,7 @@ FORMER_ESCAPES = [
     ("hom_coincidence(True)", lambda: hom.hom_coincidence(True, hom.HomScanSpec())),
     ("hom_coincidence(['1'])", lambda: hom.hom_coincidence(np.array(["1"]), hom.HomScanSpec())),
     ("HomScanSpec(-1e300, 1e300, 1e-300)", lambda: hom.HomScanSpec(-1e300, 1e300, 1e-300)),
+    ("HomScanSpec(0.0, 1e12, 1e-4)", lambda: hom.HomScanSpec(0.0, 1e12, 1e-4)),
 ]
 
 CASES = [
@@ -220,12 +222,16 @@ def test_tag_config_rejects_a_non_finite_value_in_any_slot(fields, slot, bad):
 
 @st.composite
 def hom_scan_fields(draw):
-    """Valid HomScanSpec fields: a non-empty delay range, a positive step."""
+    """Valid HomScanSpec fields: a non-empty delay range, a positive step.
+
+    The step gives at most 10^6 + 1 delay points, well inside the 10^7 limit.
+    """
     delay_min = draw(st.floats(-1e6, 1e6))
+    span = draw(st.floats(1e-3, 1e6))
     return {
         "delay_min_fs": delay_min,
-        "delay_max_fs": delay_min + draw(st.floats(1e-3, 1e6)),
-        "delay_step_fs": draw(st.floats(1e-3, 1e3)),
+        "delay_max_fs": delay_min + span,
+        "delay_step_fs": draw(st.floats(max(1e-3, span * 1e-6), 1e3)),
         "spectrum": sources.SpectrumSpec(),
         "baseline_visibility": draw(st.floats(0.0, 1.0)),
     }

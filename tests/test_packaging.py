@@ -8,14 +8,18 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
-
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "noonchip"
 
 
+def project_table() -> dict:
+    """The [project] table of pyproject.toml; skips the calling test without tomllib."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
 def declared_dependencies() -> set[str]:
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    project = project_table()
     names = set()
     for requirement in project["dependencies"]:
         # "numpy>=2.0" -> "numpy"; import names use "_" where distributions use "-".
@@ -46,7 +50,7 @@ def test_third_party_imports_are_declared_dependencies():
 
 
 def test_project_scripts_name_functions_defined_in_the_package():
-    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"].get("scripts", {})
+    scripts = project_table().get("scripts", {})
     for command, target in scripts.items():
         module, _, function = target.partition(":")
         path = ROOT / "src" / (module.replace(".", "/") + ".py")
