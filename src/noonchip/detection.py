@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fock import DensityMatrix, _check_finite, _check_positive, enumerate_sectors
+from .fock import DensityMatrix, _check_finite, _check_positive, _sectors
 
 __all__ = [
     "DetectionPattern",
@@ -110,15 +110,18 @@ def apply_loss(rho: DensityMatrix, eta_a: float, eta_b: float) -> DensityMatrix:
     Each photon in mode a (b) survives with probability eta_a (eta_b);
     coherences pick up the corresponding amplitude factors.  The output
     basis spans all photon-number sectors from the input maximum down to
-    vacuum; the trace is preserved.
+    vacuum; the trace is preserved.  A Kraus sum of a checked state is a
+    state, so the output is built without a re-check.
     """
     _check_finite("transmission a", eta_a, 0.0, 1.0)
     _check_finite("transmission b", eta_b, 0.0, 1.0)
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"cannot apply loss to object of type {type(rho).__name__}")
     if rho.mode_count != 2:
         raise ValueError("loss channel is defined for the two-mode device")
 
     n_max = sum(rho.basis[0])  # whole sectors from the top: also the largest occupation
-    out_basis = tuple(enumerate_sectors(2, n_max))
+    out_basis = _sectors(2, n_max, 0)
     out_index = {occ: i for i, occ in enumerate(out_basis)}
     in_basis = rho.basis
     d_in, d_out = len(in_basis), len(out_basis)
@@ -135,7 +138,7 @@ def apply_loss(rho: DensityMatrix, eta_a: float, eta_b: float) -> DensityMatrix:
                 k[out_index[(na - la, nb - lb)], j] = coeff
             if k.any():
                 out += k @ rho.matrix @ k.T
-    return DensityMatrix(out_basis, out)
+    return DensityMatrix._trusted(out_basis, out)
 
 
 def pattern_probs(state: DensityMatrix) -> np.ndarray:

@@ -17,7 +17,15 @@ Conventions used throughout the package:
   whose row or column of rho holds a nonzero entry.  ``lift_unitary`` takes
   those columns and walks the permanents of nothing else.  The basis index
   rows and factorial norms of each (modes, photons) pair are built once and
-  cached as read-only arrays.
+  cached as read-only arrays.  A lift whose stacked submatrices would exceed
+  ``_MAX_LIFT_BYTES`` is refused before anything is built.
+* States are checked once, where they enter.  ``DensityMatrix(basis, matrix)``
+  checks everything.  ``DensityMatrix._trusted`` checks nothing and serves
+  only producers whose inputs are checked objects and whose output is valid
+  by construction: ``sources.noon_mixed``, ``evolve`` (which still checks the
+  trace, since ``ModeUnitary`` admits a small deviation from unitarity) and
+  ``detection.apply_loss``.  ``tagsim.TagStream`` follows the same rule for
+  ``generate_tags`` and the stream readers.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ UNITARY_ATOL = 1e-10
 NORM_ATOL = 1e-12
 PSD_ATOL = 1e-10
 _MAX_PERMANENT_DIM = 20  # so the largest photon number a lift takes; 20! fits in int64
+# The stacked submatrices of one lift: d x columns x N^2 complex entries.
+_MAX_LIFT_BYTES = 1 << 30
 
 Occupation = tuple[int, ...]
 
@@ -182,6 +192,8 @@ class DensityMatrix:
     The basis is whole photon-number sectors from high to low.  Its state count
     (``math.comb``) is checked before any enumeration is built, then one
     comparison with the cached enumeration, whose tuple the instance keeps.
+    The constructor checks every field; only the producers named in the
+    module docstring build states through ``_trusted``.
     """
 
     basis: tuple[Occupation, ...]
@@ -214,6 +226,13 @@ class DensityMatrix:
             raise ValueError(f"density matrix is not PSD (min eigenvalue {min_eig:.3e})")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "matrix", rho)
+
+    @classmethod
+    def _trusted(cls, basis: tuple[Occupation, ...], matrix: np.ndarray) -> DensityMatrix:
+        """A state with no checks: a cached ``_sectors`` basis and a valid complex128 rho."""
+        state = object.__new__(cls)
+        state.__dict__.update(basis=basis, matrix=matrix)
+        return state
 
     @property
     def mode_count(self) -> int:
@@ -262,15 +281,23 @@ def lift_unitary(u: ModeUnitary, photon_number: int, columns=None) -> np.ndarray
     unitary over enumerate_basis(m, N); otherwise it is the d x len(columns)
     matrix of just those input columns, in the order given, with the same
     bits as the matching columns of the full lift.  The basis index rows
-    and factorial norms are cached per (m, N), for N up to 20.
+    and factorial norms are cached per (m, N), for N up to 20.  A lift whose
+    submatrix stack would take more than ``_MAX_LIFT_BYTES`` is refused.
     """
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
     n = _check_index("photon_number", photon_number)
     if n > _MAX_PERMANENT_DIM:
         raise ValueError(f"photon_number must be <= {_MAX_PERMANENT_DIM}, got {n}")
+    d = math.comb(n + u.mode_count - 1, n)
+    cols = slice(None) if columns is None else _check_columns(columns, d)
+    stack_bytes = d * (d if columns is None else len(cols)) * n * n * 16
+    if stack_bytes > _MAX_LIFT_BYTES:
+        raise ValueError(
+            f"a lift of {n} photons over {u.mode_count} modes needs {stack_bytes} B of "
+            f"submatrices, above the {_MAX_LIFT_BYTES} B bound"
+        )
     idx, norms = _lift_tables(u.mode_count, n)
-    cols = slice(None) if columns is None else _check_columns(columns, len(norms))
     subs = u.matrix[idx[:, None, :, None], idx[cols][None, :, None, :]]
     return permanent(subs) / np.outer(norms, norms[cols])
 
@@ -284,6 +311,10 @@ def evolve(state: DensityMatrix, u: ModeUnitary) -> DensityMatrix:
     row and column of rho is zero.  S reads whole rows and columns of rho,
     not only its diagonal, since the PSD tolerance admits a tiny coherence
     next to a zero population.  The state must be one photon-number sector.
+
+    A congruence of a checked state stays Hermitian and PSD on the same basis,
+    so only the trace is checked again: ``ModeUnitary`` admits a deviation
+    from unitarity up to ``UNITARY_ATOL``, which the trace can show.
     """
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
@@ -297,4 +328,12 @@ def evolve(state: DensityMatrix, u: ModeUnitary) -> DensityMatrix:
     nonzero = state.matrix != 0
     s = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     lifted = lift_unitary(u, n, s)
-    return DensityMatrix(state.basis, lifted @ state.matrix[np.ix_(s, s)] @ lifted.conj().T)
+    rho = lifted @ state.matrix[np.ix_(s, s)] @ lifted.conj().T
+    tr = float(np.real(np.trace(rho)))
+    if abs(tr - 1.0) > NORM_ATOL:
+        dev = np.max(np.abs(u.matrix @ u.matrix.conj().T - np.eye(u.mode_count)))
+        raise ValueError(
+            f"evolved trace {tr!r} is not 1 within {NORM_ATOL}: the unitary deviates from "
+            f"unitarity by {dev:.3e}, which UNITARY_ATOL = {UNITARY_ATOL} admits"
+        )
+    return DensityMatrix._trusted(state.basis, rho)

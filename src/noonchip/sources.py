@@ -11,11 +11,12 @@ Spectral amplitudes are taken real and non-negative (no spectral chirp):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, _check_finite, _check_positive, enumerate_basis
+from .fock import DensityMatrix, _check_finite, _check_positive, _sectors, enumerate_basis
 
 __all__ = [
     "TWO_PHOTON_BASIS",
@@ -92,10 +93,11 @@ def noon_mixed(balance: float, phase: float, purity: float) -> DensityMatrix:
     sqrt(b)|2,0> + e^{2i*phase} sqrt(1-b)|0,2>.  The doubled phase reflects
     two photons sharing each path; balance 0 is a single pumped source
     (|0,2> only).  Positive semidefinite and trace one for all parameters
-    in range.
+    in range, so the state is built without a re-check.  The phase is bounded
+    by half the largest float, so that 2 * phase stays finite.
     """
     b = _check_finite("balance", balance, 0.0, 1.0)
-    _check_finite("phase", phase)
+    phase = _check_finite("phase", phase, -sys.float_info.max / 2, sys.float_info.max / 2)
     _check_finite("purity", purity, 0.0, 1.0)
     coherence = purity * math.sqrt(b * (1.0 - b)) * np.exp(-2j * phase)
     rho = np.array(
@@ -106,7 +108,7 @@ def noon_mixed(balance: float, phase: float, purity: float) -> DensityMatrix:
         ],
         dtype=complex,
     )
-    return DensityMatrix(TWO_PHOTON_BASIS, rho)
+    return DensityMatrix._trusted(_sectors(2, 2, 2), rho)
 
 
 def spectral_overlap(s1: SpectrumSpec, s2: SpectrumSpec) -> float:

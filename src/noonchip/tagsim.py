@@ -82,12 +82,37 @@ def _as_uint8(name: str, values) -> np.ndarray:
     return out
 
 
+def _check_stamps(ts: np.ndarray, duration_s) -> None:
+    """Refuse a duration that is not a finite number > 0, and int64 stamps that
+    decrease or leave its window [0, round(duration_s * 1e12)) ps, the bound
+    generate_tags keeps."""
+    # Non-decreasing from a non-negative first stamp keeps every stamp >= 0, which
+    # also refuses a u64 stamp past 2^63 that wrapped in the int64 cast.  Neighbours
+    # are compared, not differenced: a difference can overflow int64.
+    if len(ts) and (ts[0] < 0 or np.any(ts[1:] < ts[:-1])):
+        raise ValueError("timestamps must be non-negative and non-decreasing")
+    end_ps = _check_positive("duration", duration_s) * 1e12
+    if len(ts) and end_ps < 2.0**63 and int(ts[-1]) >= round(end_ps):
+        raise ValueError(f"timestamp {int(ts[-1])} ps lies past the {round(end_ps)} ps window")
+
+
+def _check_registered(ch: np.ndarray, ids: tuple[int, ...]) -> None:
+    """Refuse repeated channel ids, and uint8 channels that are not among them."""
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"channel ids must be distinct, got {ids}")
+    unregistered = set(np.flatnonzero(np.bincount(ch, minlength=256)).tolist()) - set(ids)
+    if unregistered:
+        raise ValueError(f"records reference unregistered channels {sorted(unregistered)}")
+
+
 @dataclass(frozen=True)
 class TagStream:
     """Time-ordered detector click records over a fixed acquisition window.
 
     Every stamp lies in [0, round(duration_s * 1e12)) ps, the window that
-    generate_tags keeps.
+    generate_tags keeps.  The constructor checks every field; generate_tags
+    and the readers, whose records are valid by construction or checked as
+    they are decoded, build the stream through ``_trusted``.
     """
 
     channels: np.ndarray
@@ -99,8 +124,6 @@ class TagStream:
         ch = _as_uint8("channels", self.channels)
         ids = [_check_index("channel id", c) for c in self.channel_ids]
         ids = tuple(_as_uint8("channel ids", ids).tolist())
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"channel ids must be distinct, got {ids}")
         raw = np.asarray(self.timestamps_ps)
         # A cast would read bool, string and object stamps as numbers, and truncate floats.
         if raw.dtype.kind not in "iuf":
@@ -110,21 +133,23 @@ class TagStream:
         ts = raw.astype(np.int64, copy=False)
         if ch.shape != ts.shape or ch.ndim != 1:
             raise ValueError("channels and timestamps must be 1-d arrays of equal length")
-        # Non-decreasing from a non-negative first stamp keeps every stamp >= 0, which
-        # also refuses a u64 stamp past 2^63 that wrapped in the int64 cast.  Neighbours
-        # are compared, not differenced: a difference can overflow int64.
-        if len(ts) and (ts[0] < 0 or np.any(ts[1:] < ts[:-1])):
-            raise ValueError("timestamps must be non-negative and non-decreasing")
-        # The window is [0, round(duration * 1e12)) ps, the bound generate_tags keeps.
-        end_ps = _check_positive("duration", self.duration_s) * 1e12
-        if len(ts) and end_ps < 2.0**63 and int(ts[-1]) >= round(end_ps):
-            raise ValueError(f"timestamp {int(ts[-1])} ps lies past the {round(end_ps)} ps window")
-        unregistered = set(np.flatnonzero(np.bincount(ch, minlength=256)).tolist()) - set(ids)
-        if unregistered:
-            raise ValueError(f"records reference unregistered channels {sorted(unregistered)}")
+        _check_stamps(ts, self.duration_s)
+        _check_registered(ch, ids)
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "timestamps_ps", ts)
         object.__setattr__(self, "channel_ids", ids)
+
+    @classmethod
+    def _trusted(cls, channels, timestamps_ps, duration_s, channel_ids=STANDARD_CHANNELS):
+        """A stream with no checks: uint8 channels, int64 stamps, distinct int channel ids."""
+        stream = object.__new__(cls)
+        stream.__dict__.update(
+            channels=channels,
+            timestamps_ps=timestamps_ps,
+            duration_s=duration_s,
+            channel_ids=channel_ids,
+        )
+        return stream
 
     def __len__(self) -> int:
         return len(self.timestamps_ps)
@@ -229,7 +254,8 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
     key = np.concatenate(chunks)
     # One sort orders by time, then channel; equal keys are identical records.
     key = np.sort(key[(key >= 0) & (key < duration_ps << 2)])
-    return TagStream((key & 3).astype(np.uint8), key >> 2, cfg.duration_s)
+    # Sorted keys in the window give non-decreasing stamps inside it, on STANDARD_CHANNELS.
+    return TagStream._trusted((key & 3).astype(np.uint8), key >> 2, cfg.duration_s)
 
 
 def _greedy_walk(a: list[int], b: list[int], half_width: float) -> int:
@@ -632,21 +658,21 @@ def tags_from_bytes(data: bytes, fmt: str = "binary", duration_s: float | None =
         if len(data) != header.size + _BINARY_RECORD.itemsize * n_rec:
             raise ValueError(f"tag stream length {len(data)} B does not match its {n_rec} records")
         records = np.frombuffer(data, dtype=_BINARY_RECORD, count=n_rec, offset=header.size)
-        return TagStream(
-            records["ch"].copy(),
-            records["ts"].astype(np.int64),
-            duration,
-            channel_ids,
-        )
+        # The header's ids and the records' channels are u8, and the stamps int64 here.
+        channels, timestamps = records["ch"].copy(), records["ts"].astype(np.int64)
+        _check_stamps(timestamps, duration)
+        _check_registered(channels, tuple(channel_ids))
+        return TagStream._trusted(channels, timestamps, duration, tuple(channel_ids))
     if fmt == "csv":
         channels, timestamps = _csv_decode(data)
         if duration_s is None:
             duration_s = _covering_duration(int(timestamps.max())) if len(timestamps) else 1.0
         # A bincount over an unchecked channel could ask for an enormous array.
         channels = _as_uint8("channels", channels)
+        _check_stamps(timestamps, duration_s)
         seen = np.flatnonzero(np.bincount(channels, minlength=256)).tolist()
-        ids = sorted(set(STANDARD_CHANNELS) | set(seen))
-        return TagStream(channels, timestamps, duration_s, tuple(ids))
+        ids = tuple(sorted(set(STANDARD_CHANNELS) | set(seen)))
+        return TagStream._trusted(channels, timestamps, duration_s, ids)
     raise ValueError(f"unknown tag stream format {fmt!r}")
 
 

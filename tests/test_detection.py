@@ -95,6 +95,11 @@ class TestApplyLoss:
         with pytest.raises(ValueError):
             apply_loss(noon_mixed(0.5, 0, 1), 1.2, 0.5)
 
+    @pytest.mark.parametrize("rho", [np.eye(3) / 3, None], ids=["array", "none"])
+    def test_only_density_matrices_lose_photons(self, rho):
+        with pytest.raises(TypeError):
+            apply_loss(rho, 0.5, 0.5)
+
 
 @st.composite
 def two_photon_states(draw):

@@ -9,7 +9,7 @@ from scipy.stats import unitary_group
 
 from noonchip import fock
 from noonchip.circuit import mzi_unitary
-from noonchip.detection import pattern_probs
+from noonchip.detection import apply_loss, pattern_probs
 from noonchip.fock import (
     DensityMatrix,
     ModeUnitary,
@@ -258,6 +258,35 @@ class TestLiftUnitary:
         with pytest.raises(ValueError, match="<= 20"):
             evolve(state, ModeUnitary(np.eye(2)))
 
+    def test_lift_above_the_memory_bound_refused(self, monkeypatch):
+        # The full (4, 4) lift stacks 35 x 35 submatrices of 4 x 4 complex entries.
+        u = ModeUnitary(haar_unitary(4, 8))
+        full_bytes = 35 * 35 * 4 * 4 * 16
+        monkeypatch.setattr(fock, "_MAX_LIFT_BYTES", full_bytes - 1)
+        with pytest.raises(ValueError, match="bound"):
+            lift_unitary(u, 4)
+        assert lift_unitary(u, 4, [0, 34]).shape == (35, 2)
+        basis = tuple(enumerate_basis(4, 4))
+        with pytest.raises(ValueError, match="bound"):
+            evolve(DensityMatrix(basis, np.eye(35) / 35), u)
+        monkeypatch.setattr(fock, "_MAX_LIFT_BYTES", full_bytes)
+        assert lift_unitary(u, 4).shape == (35, 35)
+
+    def test_twenty_photon_four_mode_lift_refused_before_the_tables(self, monkeypatch):
+        # 1771 x 1771 submatrices of 20 x 20 entries would take about 20 GB.  The
+        # stubbed tables keep this test from building anything were the bound gone.
+        def unbuilt(*args):
+            raise AssertionError(f"lift tables built for {args}")
+
+        monkeypatch.setattr(fock, "_lift_tables", unbuilt)
+        with pytest.raises(ValueError, match="20073222400 B"):
+            lift_unitary(ModeUnitary(np.eye(4)), 20)
+
+    def test_eight_photon_four_mode_lift_within_the_bound(self):
+        # 165 x 165 submatrices of 8 x 8 entries: about 28 MB.
+        lifted = lift_unitary(ModeUnitary(haar_unitary(4, 48)), 8)
+        assert np.max(np.abs(lifted @ lifted.conj().T - np.eye(165))) < 1e-10
+
     def test_twenty_photons_on_one_mode_lift(self, monkeypatch):
         # The real 20 x 20 Ryser walk takes seconds; a stub returning 20! checks the
         # tables and norms at the limit: Per(M) / (sqrt(20!) sqrt(20!)) = 1.
@@ -408,6 +437,14 @@ class TestEvolve:
         state = DensityMatrix(((1, 0), (0, 1), (0, 0)), np.diag([0.25, 0.25, 0.5]))
         with pytest.raises(ValueError, match="single photon-number sector"):
             evolve(state, ModeUnitary(np.eye(2)))
+
+    def test_trace_drift_of_an_admitted_near_unitary_is_named(self):
+        # ModeUnitary admits a deviation of 8e-11 from unitarity; the lifted
+        # two-photon trace then drifts by 1.6e-10, past NORM_ATOL.
+        u = ModeUnitary(np.eye(2) * (1 + 4e-11))
+        message = r"trace 1\.0000000001\d+ is not 1 within 1e-12: .* by 8\.000e-11.*UNITARY_ATOL"
+        with pytest.raises(ValueError, match=message):
+            evolve(noon_mixed(0.5, 0.3, 0.9), u)
 
     @pytest.mark.parametrize("state", [np.eye(3) / 3, None, "rho"], ids=["array", "none", "str"])
     def test_only_density_matrices_evolve(self, state):
@@ -561,3 +598,50 @@ class TestTagWorkloadInputs:
             state = noon_mixed(0.5, float(phase), purity)
             got = pattern_probs(evolve(state, bs))
             assert np.array_equal(got, full_lift_pattern_probs(state, bs)), phase
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def checked_states(draw):
+    """A state built by the public constructor: rank 1 to 3 on a random support,
+    over 2 or 4 modes with at most 4 photons, or a noon_mixed state."""
+    if draw(st.booleans()):
+        return noon_mixed(draw(_UNIT), draw(st.floats(-10.0, 10.0)), draw(_UNIT))
+    m, n = draw(st.sampled_from([2, 4])), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = tuple(enumerate_basis(m, n))
+    d = len(basis)
+    a = np.zeros((d, 3), dtype=complex)
+    support = rng.permutation(d)[: rng.integers(1, d + 1)]
+    a[support] = rng.normal(size=(len(support), 3)) + 1j * rng.normal(size=(len(support), 3))
+    a[:, 1:] *= rng.random(2) < 0.5
+    rho = a @ a.conj().T
+    return DensityMatrix(basis, rho / np.trace(rho).real)
+
+
+def assert_public_constructor_agrees(state):
+    """The public constructor accepts the state and stores the same fields."""
+    m, high, low = len(state.basis[0]), sum(state.basis[0]), sum(state.basis[-1])
+    assert state.basis is fock._sectors(m, high, low)
+    assert state.matrix.dtype == np.complex128
+    rebuilt = DensityMatrix(state.basis, state.matrix)
+    assert rebuilt.basis is state.basis
+    assert rebuilt.matrix.dtype == np.complex128
+    assert np.array_equal(rebuilt.matrix, state.matrix)
+
+
+class TestTrustedStates:
+    """noon_mixed, evolve and apply_loss build their states without the public
+    checks; each state must still pass them unchanged."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(checked_states(), st.integers(0, 2**32 - 1), _UNIT, _UNIT)
+    def test_public_constructor_accepts_every_trusted_state(self, state, seed, eta_a, eta_b):
+        assert_public_constructor_agrees(state)
+        out = evolve(state, ModeUnitary(haar_unitary(state.mode_count, seed)))
+        assert_public_constructor_agrees(out)
+        if state.mode_count == 2:
+            assert_public_constructor_agrees(apply_loss(state, eta_a, eta_b))
+            assert_public_constructor_agrees(apply_loss(out, eta_a, eta_b))

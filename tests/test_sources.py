@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +51,8 @@ class TestNoonPure:
 
 
 class TestNoonMixed:
+    HALF_MAX = sys.float_info.max / 2
+
     def test_full_purity_is_projector(self):
         rho = noon_mixed(0.5, 0.0, 1.0)
         assert np.allclose(rho.matrix, pure([1.0, 0.0, 1.0]) / 2, atol=1e-12)
@@ -65,6 +68,14 @@ class TestNoonMixed:
     def test_zero_purity_is_dephased(self):
         rho = noon_mixed(0.5, 0.7, 0.0)
         assert np.allclose(rho.matrix, np.diag([0.5, 0.0, 0.5]), atol=1e-15)
+
+    @pytest.mark.parametrize("phase", [1e308, -1e308, math.nextafter(HALF_MAX, math.inf)])
+    def test_phase_whose_double_overflows_rejected(self, phase):
+        # -2i * phase overflows and exp() of it is NaN, which the unchecked
+        # build would keep; the largest phase whose double is finite is kept.
+        with pytest.raises(ValueError, match="phase"):
+            noon_mixed(0.5, phase, 0.9)
+        assert np.isfinite(noon_mixed(0.5, self.HALF_MAX, 0.9).matrix).all()
 
     def test_always_physical(self):
         for b in np.linspace(0, 1, 11):

@@ -857,6 +857,87 @@ class TestStreamIO:
         assert np.array_equal(read_tags(p1).channels, read_tags(p2, duration_s=1.0).channels)
 
 
+def binary_blob(records, duration_s=1.0, ids=STANDARD_CHANNELS):
+    """A binary stream file holding the given (channel, stamp) records."""
+    head = struct.pack(
+        f"<8sdB{len(ids)}BQ", b"NOONTAG1", duration_s, len(ids), *ids, len(records)
+    )
+    return head + b"".join(struct.pack("<BQ", c, t) for c, t in records)
+
+
+def csv_blob(*rows):
+    return ("channel,timestamp_ps\n" + "".join(f"{row}\n" for row in rows)).encode()
+
+
+# Each reader refusal with the message it has always given.
+READER_REFUSALS = [
+    pytest.param("binary", b"NOTATAG1" + bytes(32), None, "bad magic header", id="bin-magic"),
+    pytest.param("binary", binary_blob([])[:20], None, "truncated tag stream header",
+                 id="bin-head"),
+    pytest.param("binary", binary_blob([(0, 5)])[:-1], None, "does not match its 1 records",
+                 id="bin-short"),
+    pytest.param("binary", binary_blob([(0, 5)]) + b"\0", None, "does not match its 1 records",
+                 id="bin-long"),
+    pytest.param("binary", binary_blob([(0, 5), (7, 6)]), None,
+                 r"unregistered channels \[7\]", id="bin-unregistered"),
+    pytest.param("binary", binary_blob([(0, 5)], ids=(0, 1, 0)), None, "distinct", id="bin-ids"),
+    pytest.param("binary", binary_blob([(0, 9), (1, 5)]), None, "non-decreasing",
+                 id="bin-decreasing"),
+    pytest.param("binary", binary_blob([(0, 5), (1, 1000)], 1e-9), None,
+                 "timestamp 1000 ps lies past the 1000 ps window", id="bin-window"),
+    pytest.param("binary", binary_blob([(0, 5), (1, 2**63)]), None, "non-decreasing",
+                 id="bin-wrapped"),
+    pytest.param("binary", binary_blob([(0, 5)], math.nan), None,
+                 "duration must be a finite number", id="bin-nan-duration"),
+    pytest.param("binary", binary_blob([(0, 5)], 0.0), None, "duration must be > 0",
+                 id="bin-zero-duration"),
+    pytest.param("csv", b"channel,timestamp", None, "missing header", id="csv-head"),
+    pytest.param("csv", b"channel,timestamp_ps,\n0,5\n", None, "missing header",
+                 id="csv-header-column"),
+    pytest.param("csv", csv_blob("0,5x"), None, "a byte other than 0-9", id="csv-byte"),
+    pytest.param("csv", csv_blob("0,5,6"), None, "exactly two columns", id="csv-columns"),
+    pytest.param("csv", csv_blob("0," + "1" * 20), None, "1 to 19 digits", id="csv-digits"),
+    pytest.param("csv", csv_blob("0,5", "300,6"), None, "channels must lie in 0..255",
+                 id="csv-channel"),
+    pytest.param("csv", csv_blob("0,9", "1,5"), None, "non-decreasing", id="csv-decreasing"),
+    pytest.param("csv", csv_blob("0,5", "1,1000"), 1e-9,
+                 "timestamp 1000 ps lies past the 1000 ps window", id="csv-window"),
+    pytest.param("csv", csv_blob("0,5", f"1,{2**63}"), None, "non-decreasing",
+                 id="csv-wrapped"),
+    pytest.param("csv", csv_blob("0,5"), 0.0, "duration must be > 0", id="csv-zero-duration"),
+]
+
+
+@pytest.mark.parametrize("fmt, data, duration_s, message", READER_REFUSALS)
+def test_reader_refusals_keep_their_messages(fmt, data, duration_s, message):
+    with pytest.raises(ValueError, match=message):
+        tags_from_bytes(data, fmt, duration_s)
+
+
+class TestTrustedStreams:
+    """generate_tags and both readers build their streams without the public
+    checks; each stream must still pass them unchanged."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tag_sim_configs())
+    def test_public_constructor_accepts_every_trusted_stream(self, cfg):
+        stream = generate_tags(cfg)
+        assert stream.channel_ids == STANDARD_CHANNELS
+        binary, text = tags_to_bytes(stream, "binary"), tags_to_bytes(stream, "csv")
+        streams = [
+            stream,
+            tags_from_bytes(binary, "binary"),
+            tags_from_bytes(text, "csv", cfg.duration_s),
+            tags_from_bytes(text, "csv"),
+        ]
+        for s in streams:
+            assert s.channels.dtype == np.uint8 and s.timestamps_ps.dtype == np.int64
+            assert all(type(c) is int for c in s.channel_ids)
+            rebuilt = TagStream(s.channels, s.timestamps_ps, s.duration_s, s.channel_ids)
+            assert same_stream(rebuilt, s)
+        assert all(same_stream(s, stream) for s in streams[1:3])
+
+
 class TestStreamValidation:
     def test_timestamps_must_be_sorted(self):
         with pytest.raises(ValueError):
