@@ -148,6 +148,8 @@ def pattern_probs(state: DensityMatrix) -> np.ndarray:
     (after loss); the result then sums to the two-photon sector weight
     rather than one.
     """
+    if not isinstance(state, DensityMatrix):
+        raise TypeError(f"cannot take pattern probabilities of type {type(state).__name__}")
     if state.mode_count != 2:
         raise ValueError(f"pattern probabilities need two modes, got {state.mode_count}")
     diag = state.probabilities()

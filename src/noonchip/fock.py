@@ -13,12 +13,16 @@ Conventions used throughout the package:
   is accepted, so each sector is a contiguous slice of the basis.
 * Every quantum state is a ``DensityMatrix``; a pure state is the rank-one
   case ``rho = psi psi^dag``.
-* ``evolve`` lifts only the Fock columns its input occupies: every index
-  whose row or column of rho holds a nonzero entry.  ``lift_unitary`` takes
-  those columns and walks the permanents of nothing else.  The basis index
-  rows and factorial norms of each (modes, photons) pair are built once and
-  cached as read-only arrays.  A lift whose stacked submatrices would exceed
-  ``_MAX_LIFT_BYTES`` is refused before anything is built.
+* ``lift_unitary`` builds each requested column by applying the input's
+  creation operators to the vacuum one photon at a time (the column step of
+  SLOS: Heurtel, Mansfield, Senellart & Mezher, arXiv:2206.10549).  Each step
+  reads one ``_ladder`` table, the creation operators from sector n - 1 to
+  sector n, built once per (modes, photons) pair and cached read-only.  No
+  permanent and no factorial is formed, so the photon number has no cap.  A
+  lift whose d x columns output would exceed ``_MAX_LIFT_BYTES`` is refused
+  before any table is built.  ``evolve`` lifts only the Fock columns its
+  input occupies: every index whose row or column of rho holds a nonzero
+  entry.
 * States are checked once, where they enter.  ``DensityMatrix(basis, matrix)``
   checks everything.  ``DensityMatrix._trusted`` checks nothing and serves
   only producers whose inputs are checked objects and whose output is valid
@@ -40,7 +44,6 @@ import numpy as np
 __all__ = [
     "enumerate_basis",
     "enumerate_sectors",
-    "permanent",
     "ModeUnitary",
     "DensityMatrix",
     "lift_unitary",
@@ -50,8 +53,7 @@ __all__ = [
 UNITARY_ATOL = 1e-10
 NORM_ATOL = 1e-12
 PSD_ATOL = 1e-10
-_MAX_PERMANENT_DIM = 20  # so the largest photon number a lift takes; 20! fits in int64
-# The stacked submatrices of one lift: d x columns x N^2 complex entries.
+# The output of one lift: d x columns complex entries.
 _MAX_LIFT_BYTES = 1 << 30
 
 Occupation = tuple[int, ...]
@@ -122,45 +124,6 @@ def enumerate_sectors(mode_count: int, max_photon_number: int) -> list[Occupatio
 def _sectors(mode_count: int, high: int, low: int) -> tuple[Occupation, ...]:
     """enumerate_basis(m, n) for n from high down to low, concatenated; cached."""
     return tuple(occ for n in range(high, low - 1, -1) for occ in enumerate_basis(mode_count, n))
-
-
-def permanent(a: np.ndarray) -> complex | np.ndarray:
-    """Matrix permanent via Ryser's inclusion-exclusion with Gray-code updates.
-
-    Takes one square matrix ``(n, n)`` or a stack of them ``(..., n, n)``
-    and walks the column subsets once for the whole stack, so working
-    memory is O(batch · n).  A single matrix gives a Python ``complex``; a
-    stack gives a complex array of shape ``(...)``.  Exact in floating
-    point up to roundoff; cost O(2^n · n) per matrix.  Dimension is capped
-    at 20, far beyond anything the two-photon simulator needs.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    n = a.shape[-1]
-    if n > _MAX_PERMANENT_DIM:
-        raise ValueError(f"permanent supports dimension <= {_MAX_PERMANENT_DIM}")
-
-    # Gray-code walk over column subsets; row_sums tracks
-    # sum_{j in S} a[..., i, j] for the current subset S.  The empty subset
-    # contributes prod(0) = 0, or 1 when n = 0.
-    row_sums = np.zeros(a.shape[:-1], dtype=complex)
-    total = np.prod(row_sums, axis=-1)
-    gray = 0
-    for k in range(1, 1 << n):
-        new_gray = k ^ (k >> 1)
-        bit = gray ^ new_gray
-        j = bit.bit_length() - 1
-        if new_gray & bit:
-            row_sums += a[..., j]
-        else:
-            row_sums -= a[..., j]
-        gray = new_gray
-        sign = -1.0 if (new_gray.bit_count() & 1) else 1.0
-        total += sign * np.prod(row_sums, axis=-1)
-    if n & 1:
-        total = -total
-    return complex(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -242,24 +205,35 @@ class DensityMatrix:
         return np.real(np.diag(self.matrix)).copy()
 
     def sector_weight(self, photon_number: int) -> float:
-        mask = [sum(occ) == photon_number for occ in self.basis]
-        return float(np.sum(self.probabilities()[mask]))
+        """Population of one photon-number sector: a contiguous slice of the diagonal."""
+        n = _check_index("photon_number", photon_number)
+        m, high, low = self.mode_count, sum(self.basis[0]), sum(self.basis[-1])
+        if not low <= n <= high:
+            return 0.0
+        start = math.comb(high + m, m) - math.comb(n + m, m)  # states above sector n
+        return float(np.sum(self.probabilities()[start : start + math.comb(n + m - 1, n)]))
 
 
-@functools.lru_cache(maxsize=32)
-def _lift_tables(mode_count: int, photon_number: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-index rows and factorial norms of enumerate_basis(m, N), read-only.
+@functools.lru_cache(maxsize=64)
+def _ladder(mode_count: int, photon_number: int) -> tuple[np.ndarray, np.ndarray]:
+    """Creation operators from sector N - 1 to sector N, as read-only tables.
 
-    Row b of ``idx`` lists mode k occ_k times for basis state b (shape (d, N));
-    ``norms[b]`` is sqrt(prod occ_k!).  Cached per (m, N), so the arrays are
-    frozen: a caller that wrote to them would corrupt every later lift.
+    For state i of enumerate_basis(m, N - 1) and mode k, ``up[i, k]`` is the
+    index of t + e_k in enumerate_basis(m, N) and ``gain[i, k]`` is
+    sqrt(t_k + 1), so a_k^dag |t> = gain[i, k] |up[i, k]>.  Cached per (m, N),
+    so the arrays are frozen: a caller that wrote to them would corrupt every
+    later lift.
     """
-    basis = enumerate_basis(mode_count, photon_number)
-    idx = np.array([np.repeat(np.arange(mode_count), occ) for occ in basis], dtype=np.intp)
-    norms = np.sqrt([math.prod(map(math.factorial, occ)) for occ in basis])
-    idx.setflags(write=False)
-    norms.setflags(write=False)
-    return idx, norms
+    below = _sectors(mode_count, photon_number - 1, photon_number - 1)
+    index = {occ: i for i, occ in enumerate(_sectors(mode_count, photon_number, photon_number))}
+    up = np.array(
+        [[index[t[:k] + (t[k] + 1,) + t[k + 1 :]] for k in range(mode_count)] for t in below],
+        dtype=np.intp,
+    )
+    gain = np.sqrt(np.array(below, dtype=float) + 1.0)
+    up.setflags(write=False)
+    gain.setflags(write=False)
+    return up, gain
 
 
 def _check_columns(columns, dim: int) -> np.ndarray:
@@ -274,32 +248,47 @@ def _check_columns(columns, dim: int) -> np.ndarray:
 def lift_unitary(u: ModeUnitary, photon_number: int, columns=None) -> np.ndarray:
     """Lift a mode unitary to the N-photon Fock sector.
 
-    Entry (T, S) is Per(M) / sqrt(prod s_i! prod t_j!), where M is built
-    from U by repeating row k t_k times and column j s_j times.  The
-    requested submatrices are stacked and their permanents come from one
-    Ryser walk.  With ``columns=None`` the result is the full d x d lift,
-    unitary over enumerate_basis(m, N); otherwise it is the d x len(columns)
-    matrix of just those input columns, in the order given, with the same
-    bits as the matching columns of the full lift.  The basis index rows
-    and factorial norms are cached per (m, N), for N up to 20.  A lift whose
-    submatrix stack would take more than ``_MAX_LIFT_BYTES`` is refused.
+    Column S is the input state |S> = prod_j (b_j^dag)^(s_j) / sqrt(s_j!) |0>
+    under U, where b_j^dag = sum_k U[k, j] a_k^dag.  Starting from the vacuum,
+    the creation operators are applied one photon at a time through the
+    ``_ladder`` table of each sector, with the photons of S in the order of
+    its occupation; the r-th photon put into input mode j divides by sqrt(r),
+    so no factorial is formed and no inclusion-exclusion sum loses digits to
+    cancellation.  Cost O(N m d |columns|).
+
+    With ``columns=None`` the result is the full d x d lift, unitary over
+    enumerate_basis(m, N); otherwise it is the d x len(columns) matrix of just
+    those input columns, in the order given.  Every step is elementwise across
+    the columns, so they have the same bits as the matching columns of the full
+    lift.  A lift whose output would take more than ``_MAX_LIFT_BYTES`` is
+    refused before any table is built.  Working memory is several times the
+    output, since the last step's terms hold about m entries per output entry.
     """
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
     n = _check_index("photon_number", photon_number)
-    if n > _MAX_PERMANENT_DIM:
-        raise ValueError(f"photon_number must be <= {_MAX_PERMANENT_DIM}, got {n}")
-    d = math.comb(n + u.mode_count - 1, n)
-    cols = slice(None) if columns is None else _check_columns(columns, d)
-    stack_bytes = d * (d if columns is None else len(cols)) * n * n * 16
-    if stack_bytes > _MAX_LIFT_BYTES:
+    m = u.mode_count
+    d = math.comb(n + m - 1, n)
+    cols = range(d) if columns is None else _check_columns(columns, d)
+    out_bytes = d * (d if columns is None else len(cols)) * 16
+    if out_bytes > _MAX_LIFT_BYTES:
         raise ValueError(
-            f"a lift of {n} photons over {u.mode_count} modes needs {stack_bytes} B of "
-            f"submatrices, above the {_MAX_LIFT_BYTES} B bound"
+            f"a lift of {n} photons over {m} modes needs {out_bytes} B of output, "
+            f"above the {_MAX_LIFT_BYTES} B bound"
         )
-    idx, norms = _lift_tables(u.mode_count, n)
-    subs = u.matrix[idx[:, None, :, None], idx[cols][None, :, None, :]]
-    return permanent(subs) / np.outer(norms, norms[cols])
+    # Photon p of column c is the ranks[c, p]-th photon put into input mode modes[c, p].
+    basis = _sectors(m, n, n)
+    steps = [[(j, r) for j, s in enumerate(basis[c]) for r in range(1, s + 1)] for c in cols]
+    modes, ranks = np.array(steps, dtype=np.intp).reshape(len(cols), n, 2).transpose(2, 0, 1)
+    coefs = u.matrix[:, modes] / np.sqrt(ranks)  # (m, columns, N): U[k, j] / sqrt(r)
+    amps = np.ones((1, len(cols)), dtype=complex)  # the vacuum, once per column
+    for p in range(n):
+        up, gain = _ladder(m, p + 1)
+        terms = amps[:, None, :] * gain[:, :, None]  # (states of sector p, m, columns)
+        terms *= coefs[:, :, p]
+        amps = np.zeros((math.comb(p + m, m - 1), len(cols)), dtype=complex)
+        np.add.at(amps, up, terms)  # amps[up[i, k]] += terms[i, k], for each i and k
+    return amps
 
 
 def evolve(state: DensityMatrix, u: ModeUnitary) -> DensityMatrix:

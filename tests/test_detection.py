@@ -151,6 +151,11 @@ class TestPatternProbs:
         with pytest.raises(ValueError, match="two modes"):
             pattern_probs(rho)
 
+    @pytest.mark.parametrize("rho", [np.eye(3) / 3, None], ids=["array", "none"])
+    def test_only_density_matrices_have_patterns(self, rho):
+        with pytest.raises(TypeError):
+            pattern_probs(rho)
+
     def test_maximally_mixed(self):
         rho = DensityMatrix(TWO_PHOTON_BASIS, np.eye(3) / 3.0)
         assert np.allclose(pattern_probs(rho), [1 / 3] * 3)

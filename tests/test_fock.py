@@ -17,7 +17,6 @@ from noonchip.fock import (
     enumerate_sectors,
     evolve,
     lift_unitary,
-    permanent,
 )
 from noonchip.sources import noon_mixed
 
@@ -37,6 +36,45 @@ def _as_square(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def permanent(a):
+    """Matrix permanent via Ryser's inclusion-exclusion with Gray-code updates.
+
+    Takes one square matrix ``(n, n)`` or a stack of them ``(..., n, n)``
+    and walks the column subsets once for the whole stack, so working
+    memory is O(batch · n).  A single matrix gives a Python ``complex``; a
+    stack gives a complex array of shape ``(...)``.  Cost O(2^n · n) per
+    matrix, so the dimension is capped at 20.  A second oracle for the
+    ladder lift, independent of it and faster than ``permanent_naive``.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
+    if n > 20:
+        raise ValueError("permanent supports dimension <= 20")
+
+    # Gray-code walk over column subsets; row_sums tracks
+    # sum_{j in S} a[..., i, j] for the current subset S.  The empty subset
+    # contributes prod(0) = 0, or 1 when n = 0.
+    row_sums = np.zeros(a.shape[:-1], dtype=complex)
+    total = np.prod(row_sums, axis=-1)
+    gray = 0
+    for k in range(1, 1 << n):
+        new_gray = k ^ (k >> 1)
+        bit = gray ^ new_gray
+        j = bit.bit_length() - 1
+        if new_gray & bit:
+            row_sums += a[..., j]
+        else:
+            row_sums -= a[..., j]
+        gray = new_gray
+        sign = -1.0 if (new_gray.bit_count() & 1) else 1.0
+        total += sign * np.prod(row_sums, axis=-1)
+    if n & 1:
+        total = -total
+    return complex(total) if total.ndim == 0 else total
 
 
 def permanent_naive(a):
@@ -72,6 +110,17 @@ def two_photon_lift_oracle(u):
     vecs = [tensor(occ) for occ in basis]
     big = np.kron(u, u)
     return np.array([[np.vdot(vt, big @ vs) for vs in vecs] for vt in vecs])
+
+
+def ryser_lift_oracle(u, n, columns):
+    """Columns of the lift as stacked permanents: Per(M) / sqrt(prod s! prod t!), where
+    M repeats row k of U t_k times and column j s_j times; one Ryser walk for the stack."""
+    basis = enumerate_basis(u.shape[0], n)
+    idx = np.array([np.repeat(np.arange(u.shape[0]), occ) for occ in basis], dtype=np.intp)
+    norms = np.sqrt([math.prod(map(math.factorial, occ)) for occ in basis])
+    cols = np.asarray(columns, dtype=np.intp)
+    subs = u[idx[:, None, :, None], idx[cols][None, :, None, :]]
+    return permanent(subs) / np.outer(norms, norms[cols])
 
 
 def lift_oracle(u, n):
@@ -250,18 +299,29 @@ class TestLiftUnitary:
         with pytest.raises(ValueError):
             lift_unitary(np.array([[1.0, 0.0], [0.0, 1.1]]), 2)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_ryser_oracle(self, m, n, seed, data):
+        u = random_unitary(m, seed)
+        d = math.comb(n + m - 1, m - 1)
+        cols = data.draw(st.lists(st.integers(0, d - 1), max_size=d))
+        lifted = lift_unitary(ModeUnitary(u), n, cols)
+        assert np.max(np.abs(lifted - ryser_lift_oracle(u, n, cols)), initial=0.0) < 1e-12
+
     def test_photon_number_above_the_permanent_limit(self):
-        # 21! overflows the int64 factorial norms; the limit must refuse N = 21 before them.
-        with pytest.raises(ValueError, match="<= 20"):
-            lift_unitary(ModeUnitary(np.eye(1)), 21)
-        state = DensityMatrix(tuple(enumerate_basis(2, 21)), np.diag([1.0] + [0.0] * 21))
-        with pytest.raises(ValueError, match="<= 20"):
-            evolve(state, ModeUnitary(np.eye(2)))
+        # The lift forms no factorial, so nothing overflows at 21!.  |21, 0> through a
+        # coupler leaves binomially: C(21, k) c^2k s^2(21-k).
+        c, s = math.cos(0.4), math.sin(0.4)
+        coupler = ModeUnitary([[c, -s], [s, c]])
+        basis = tuple(enumerate_basis(2, 21))
+        out = evolve(DensityMatrix(basis, np.diag([1.0] + [0.0] * 21)), coupler)
+        want = [math.comb(21, k) * c ** (2 * k) * s ** (42 - 2 * k) for k, _ in basis]
+        assert np.max(np.abs(out.probabilities() - want)) < 1e-12
 
     def test_lift_above_the_memory_bound_refused(self, monkeypatch):
-        # The full (4, 4) lift stacks 35 x 35 submatrices of 4 x 4 complex entries.
+        # The full (4, 4) lift is 35 x 35 complex entries.
         u = ModeUnitary(haar_unitary(4, 8))
-        full_bytes = 35 * 35 * 4 * 4 * 16
+        full_bytes = 35 * 35 * 16
         monkeypatch.setattr(fock, "_MAX_LIFT_BYTES", full_bytes - 1)
         with pytest.raises(ValueError, match="bound"):
             lift_unitary(u, 4)
@@ -272,34 +332,34 @@ class TestLiftUnitary:
         monkeypatch.setattr(fock, "_MAX_LIFT_BYTES", full_bytes)
         assert lift_unitary(u, 4).shape == (35, 35)
 
-    def test_twenty_photon_four_mode_lift_refused_before_the_tables(self, monkeypatch):
-        # 1771 x 1771 submatrices of 20 x 20 entries would take about 20 GB.  The
-        # stubbed tables keep this test from building anything were the bound gone.
+    def test_sixty_photon_four_mode_lift_refused_before_the_tables(self, monkeypatch):
+        # 39,711 x 39,711 complex entries would take about 25 GB.  The stubbed tables keep
+        # this test from building anything were the bound gone.
         def unbuilt(*args):
             raise AssertionError(f"lift tables built for {args}")
 
-        monkeypatch.setattr(fock, "_lift_tables", unbuilt)
-        with pytest.raises(ValueError, match="20073222400 B"):
+        monkeypatch.setattr(fock, "_ladder", unbuilt)
+        with pytest.raises(ValueError, match=f"{39711**2 * 16} B"):
+            lift_unitary(ModeUnitary(np.eye(4)), 60)
+        # The full (4, 20) lift, 1771 x 1771 entries (about 50 MB), passes the bound.
+        with pytest.raises(AssertionError, match="built"):
             lift_unitary(ModeUnitary(np.eye(4)), 20)
 
+    def test_twenty_photon_four_mode_column_has_unit_norm(self):
+        column = lift_unitary(ModeUnitary(haar_unitary(4, 20)), 20, [500])
+        assert column.shape == (1771, 1)
+        assert np.linalg.norm(column) == pytest.approx(1.0, abs=1e-12)
+
     def test_eight_photon_four_mode_lift_within_the_bound(self):
-        # 165 x 165 submatrices of 8 x 8 entries: about 28 MB.
         lifted = lift_unitary(ModeUnitary(haar_unitary(4, 48)), 8)
         assert np.max(np.abs(lifted @ lifted.conj().T - np.eye(165))) < 1e-10
 
-    def test_twenty_photons_on_one_mode_lift(self, monkeypatch):
-        # The real 20 x 20 Ryser walk takes seconds; a stub returning 20! checks the
-        # tables and norms at the limit: Per(M) / (sqrt(20!) sqrt(20!)) = 1.
-        shapes = []
-
-        def per(subs):
-            shapes.append(subs.shape)
-            return np.full(subs.shape[:-2], float(math.factorial(20)))
-
-        monkeypatch.setattr(fock, "permanent", per)
-        lifted = lift_unitary(ModeUnitary(np.eye(1)), 20)
-        assert shapes == [(1, 1, 20, 20)]
-        assert lifted == pytest.approx(np.ones((1, 1)), rel=1e-15)
+    def test_twenty_photons_on_one_mode_lift(self):
+        # At and above the old N <= 20 cap: the lift forms no factorial and no alternating sum.
+        for n in (20, 21):
+            for phi in np.linspace(-3.0, 3.0, 13):
+                lifted = lift_unitary(ModeUnitary([[np.exp(1j * phi)]]), n)
+                assert abs(lifted[0, 0] - np.exp(1j * n * phi)) < 1e-14
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -521,14 +581,24 @@ class TestLiftColumns:
         assert np.max(np.abs(lhs - rhs), initial=0.0) < 1e-10
 
     def test_cached_tables_are_read_only(self):
-        idx, norms = fock._lift_tables(3, 2)
-        for table in (idx, norms):
+        up, gain = fock._ladder(3, 2)
+        for table in (up, gain):
             with pytest.raises(ValueError):
                 table[0] = 7
-        assert fock._lift_tables(3, 2)[0] is idx
+        assert fock._ladder(3, 2)[0] is up
         lifted = lift_unitary(ModeUnitary(np.eye(3)), 2)
         lifted[:] = 0  # a caller's own copy, not the cache
         assert np.allclose(lift_unitary(ModeUnitary(np.eye(3)), 2), np.eye(6))
+
+    def test_ladder_tables_are_the_creation_operators(self):
+        for m, n in [(1, 3), (2, 2), (3, 2), (4, 3)]:
+            below, above = enumerate_basis(m, n - 1), enumerate_basis(m, n)
+            up, gain = fock._ladder(m, n)
+            assert up.shape == gain.shape == (len(below), m)
+            for i, t in enumerate(below):
+                for k in range(m):
+                    assert above[up[i, k]] == tuple(c + (j == k) for j, c in enumerate(t))
+                    assert gain[i, k] == math.sqrt(t[k] + 1)
 
     def test_photon_number_checked_before_the_cache(self):
         u = ModeUnitary(np.eye(2))

@@ -80,6 +80,7 @@ PROBES = [
     ("enumerate_basis.photon_number", lambda x: fock.enumerate_basis(2, x), 2, -1),
     ("lift_unitary.photon_number", lambda x: fock.lift_unitary(np.eye(2), x), 2, -1),
     ("enumerate_sectors.max_photon_number", lambda x: fock.enumerate_sectors(2, x), 2, -1),
+    ("DensityMatrix.sector_weight", lambda x: RHO.sector_weight(x), 2, -1),
     ("TagSimConfig.pair_rate_hz", lambda x: tag_config(pair_rate_hz=x), 0.5, -1.0),
     ("TagSimConfig.duration_s", lambda x: tag_config(duration_s=x), 0.5, 2e7),
     ("TagSimConfig.seed", lambda x: tag_config(seed=x), 7, -1),
@@ -124,7 +125,8 @@ BAD_VALUES = [math.nan, math.inf, -math.inf, True, "1"]
 # The probes that raised TypeError or were accepted as 1 before every number went through one
 # check, then those that a numpy cast read as numbers until dtypes were checked, then a delay
 # grid with an infinite point count, which delays_fs() met as OverflowError, and one of
-# 10^16 points, which it met as MemoryError.
+# 10^16 points, which it met as MemoryError.  Last, a fractional photon number, whose sector
+# weight read 0.0.
 FORMER_ESCAPES = [
     ("SpectrumSpec(center_nm='x')", lambda: sources.SpectrumSpec(center_nm="x")),
     ("HomScanSpec(delay_step_fs=None)", lambda: hom.HomScanSpec(delay_step_fs=None)),
@@ -150,6 +152,7 @@ FORMER_ESCAPES = [
     ("hom_coincidence(['1'])", lambda: hom.hom_coincidence(np.array(["1"]), hom.HomScanSpec())),
     ("HomScanSpec(-1e300, 1e300, 1e-300)", lambda: hom.HomScanSpec(-1e300, 1e300, 1e-300)),
     ("HomScanSpec(0.0, 1e12, 1e-4)", lambda: hom.HomScanSpec(0.0, 1e12, 1e-4)),
+    ("sector_weight(2.5)", lambda: RHO.sector_weight(2.5)),
 ]
 
 CASES = [

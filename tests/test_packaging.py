@@ -87,3 +87,42 @@ def test_only_fock_checks_scalars_with_math_isfinite():
         if path.name != "fock.py" and calls_math_isfinite(path)
     )
     assert offenders == []
+
+
+def private_definitions(tree: ast.Module):
+    """(name, node) for each private name (``_x``, not dunder) a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def name_reads(tree: ast.AST):
+    """(name, node) for every name read and every attribute named under `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # Delete what nothing uses: a module-level _name must be read somewhere in src/ other
+    # than inside its own definition.
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    reads = [(name, node) for tree in trees for name, node in name_reads(tree)]
+    unused = []
+    for path, tree in zip(paths, trees):
+        for name, definition in private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(read == name and id(node) not in inside for read, node in reads):
+                unused.append(f"{path.name}: {name}")
+    assert unused == []
