@@ -9,8 +9,7 @@ unitary: wherever they sit, their transmissions multiply into a per-mode
 record that the detection loss channel applies after the unitary.  That is
 exact only for loss after the last coupler on its mode, or equal on every
 mode; ``[Loss(0, 0.5), Coupler(0, 1)]`` wrongly composes to the same
-``(U, [0.5, 1])`` as the reverse order.  This device keeps its loss at the
-outputs; ROADMAP item 12 replaces the record with a transfer matrix.
+``(U, [0.5, 1])`` as the reverse order; this device keeps its loss at the outputs.
 """
 
 from __future__ import annotations

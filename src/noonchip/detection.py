@@ -15,7 +15,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fock import DensityMatrix, _check_finite, _check_positive, _sectors
+from .fock import DensityMatrix, _check_finite, _check_floats, _check_positive
+from .fock import _lowering, _sector, _sectors
 
 __all__ = [
     "DetectionPattern",
@@ -97,48 +98,26 @@ class LossSpec:
         return db_to_transmission(self.total_b_db)
 
 
-def _loss_amplitudes(n: int, lost: int, eta: float) -> float:
-    """Kraus coefficient for losing `lost` of `n` photons at transmission eta."""
-    return math.sqrt(
-        math.comb(n, lost) * eta ** (n - lost) * (1.0 - eta) ** lost
-    )
+def apply_loss(rho: DensityMatrix, *transmissions: float) -> DensityMatrix:
+    """Independent per-photon loss: a photon in mode k survives with probability eta_k.
 
-
-def apply_loss(rho: DensityMatrix, eta_a: float, eta_b: float) -> DensityMatrix:
-    """Independent per-photon loss on each mode (binomial thinning channel).
-
-    Each photon in mode a (b) survives with probability eta_a (eta_b);
-    coherences pick up the corresponding amplitude factors.  The output
-    basis spans all photon-number sectors from the input maximum down to
-    vacuum; the trace is preserved.  A Kraus sum of a checked state is a
-    state, so the output is built without a re-check.
+    Mode by mode, the pure-loss channel in closed form, over every l at once:
+    rho -> eta^(n_k/2) [sum_l (1 - eta)^l / l! a_k^l rho a_k^dag^l] eta^(n_k/2), with
+    a_k^l / sqrt(l!) from ``fock._lowering``, the lift's ladder tables read downwards.
+    The output spans every sector from the input's top down to vacuum.  A loss channel
+    maps a checked state to a state, so the output is built without a re-check.
     """
-    _check_finite("transmission a", eta_a, 0.0, 1.0)
-    _check_finite("transmission b", eta_b, 0.0, 1.0)
     if not isinstance(rho, DensityMatrix):
         raise TypeError(f"cannot apply loss to object of type {type(rho).__name__}")
-    if rho.mode_count != 2:
-        raise ValueError("loss channel is defined for the two-mode device")
-
-    n_max = sum(rho.basis[0])  # whole sectors from the top: also the largest occupation
-    out_basis = _sectors(2, n_max, 0)
-    out_index = {occ: i for i, occ in enumerate(out_basis)}
-    in_basis = rho.basis
-    d_in, d_out = len(in_basis), len(out_basis)
-
-    # Kraus operator per (photons lost in a, photons lost in b).
-    out = np.zeros((d_out, d_out), dtype=complex)
-    for la in range(n_max + 1):
-        for lb in range(n_max + 1):
-            k = np.zeros((d_out, d_in))
-            for j, (na, nb) in enumerate(in_basis):
-                if la > na or lb > nb:
-                    continue
-                coeff = _loss_amplitudes(na, la, eta_a) * _loss_amplitudes(nb, lb, eta_b)
-                k[out_index[(na - la, nb - lb)], j] = coeff
-            if k.any():
-                out += k @ rho.matrix @ k.T
-    return DensityMatrix._trusted(out_basis, out)
+    etas = _check_floats("transmissions", transmissions, rho.mode_count, 0.0, 1.0)
+    basis = _sectors(rho.mode_count, sum(rho.basis[0]), 0)
+    source, weight = _lowering(rho.mode_count, sum(rho.basis[0]))
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    out[: len(rho.basis), : len(rho.basis)] = rho.matrix  # rho.basis leads the output basis
+    for eta, n_k, src, w in zip(etas, np.array(basis).T, source, weight):
+        f = w * (1.0 - eta) ** (np.arange(len(w))[:, None] / 2) * eta ** (n_k / 2)  # l = row
+        out = np.einsum("la,lb,lab->ab", f, f, out[src[:, :, None], src[:, None, :]])
+    return DensityMatrix._trusted(basis, out)
 
 
 def pattern_probs(state: DensityMatrix) -> np.ndarray:
@@ -152,13 +131,8 @@ def pattern_probs(state: DensityMatrix) -> np.ndarray:
         raise TypeError(f"cannot take pattern probabilities of type {type(state).__name__}")
     if state.mode_count != 2:
         raise ValueError(f"pattern probabilities need two modes, got {state.mode_count}")
-    diag = state.probabilities()
-    index = {occ: i for i, occ in enumerate(state.basis)}
-    probs = np.zeros(3)
-    for k, p in enumerate(DETECTION_PATTERNS):
-        if p.occupation in index:
-            probs[k] = diag[index[p.occupation]]
-    return probs
+    probs = state.probabilities()[_sector(state.basis, 2)]  # in canonical pattern order
+    return probs if len(probs) else np.zeros(3)
 
 
 # Probability that a pair in each pattern, in DETECTION_PATTERNS order, fires

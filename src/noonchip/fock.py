@@ -19,10 +19,14 @@ Conventions used throughout the package:
   reads one ``_ladder`` table, the creation operators from sector n - 1 to
   sector n, built once per (modes, photons) pair and cached read-only.  No
   permanent and no factorial is formed, so the photon number has no cap.  A
-  lift whose d x columns output would exceed ``_MAX_LIFT_BYTES`` is refused
+  lift whose last step would hold more than ``_MAX_LIFT_BYTES`` is refused
   before any table is built.  ``evolve`` lifts only the Fock columns its
   input occupies: every index whose row or column of rho holds a nonzero
   entry.
+* ``detection.apply_loss`` is the pure-loss channel in closed form, mode by mode:
+  rho -> eta^(n_k/2) [sum_l (1 - eta)^l / l! a_k^l rho a_k^dag^l] eta^(n_k/2).
+  ``_lowering`` gives it every a_k^l from the ``_ladder`` tables read downwards:
+  a_k |t + e_k> = gain[i, k] |t>, t state i of sector n - 1, t + e_k state up[i, k].
 * States are checked once, where they enter.  ``DensityMatrix(basis, matrix)``
   checks everything.  ``DensityMatrix._trusted`` checks nothing and serves
   only producers whose inputs are checked objects and whose output is valid
@@ -53,7 +57,7 @@ __all__ = [
 UNITARY_ATOL = 1e-10
 NORM_ATOL = 1e-12
 PSD_ATOL = 1e-10
-# The output of one lift: d x columns complex entries.
+# The last step of one lift: (d_N + (m + 1) d_(N-1)) x columns complex entries.
 _MAX_LIFT_BYTES = 1 << 30
 
 Occupation = tuple[int, ...]
@@ -120,6 +124,15 @@ def enumerate_sectors(mode_count: int, max_photon_number: int) -> list[Occupatio
     return list(_sectors(mode_count, _check_index("max_photon_number", max_photon_number), 0))
 
 
+def _sector(basis: tuple[Occupation, ...], photon_number: int) -> slice:
+    """Where sector n lies in a whole-sector basis: after the states above it; empty if absent."""
+    m, high, low = len(basis[0]), sum(basis[0]), sum(basis[-1])
+    if not low <= photon_number <= high:
+        return slice(0)
+    start = math.comb(high + m, m) - math.comb(photon_number + m, m)
+    return slice(start, start + math.comb(photon_number + m - 1, photon_number))
+
+
 @functools.lru_cache(maxsize=32)
 def _sectors(mode_count: int, high: int, low: int) -> tuple[Occupation, ...]:
     """enumerate_basis(m, n) for n from high down to low, concatenated; cached."""
@@ -169,8 +182,7 @@ class DensityMatrix:
         if not entries or not integral or min(entries) < 0:
             raise ValueError("basis must hold occupations that are integers >= 0")
         m, high, low = len(basis[0]), int(sum(basis[0])), int(sum(basis[-1]))
-        count = math.comb(high + m, m) - math.comb(low + m - 1, m)
-        if len(basis) != count or basis != _sectors(m, high, low):
+        if len(basis) != _sector(basis, low).stop or basis != _sectors(m, high, low):
             raise ValueError("basis must be whole photon-number sectors in canonical order")
         basis = _sectors(m, high, low)
         rho = np.asarray(self.matrix, dtype=complex)
@@ -207,11 +219,7 @@ class DensityMatrix:
     def sector_weight(self, photon_number: int) -> float:
         """Population of one photon-number sector: a contiguous slice of the diagonal."""
         n = _check_index("photon_number", photon_number)
-        m, high, low = self.mode_count, sum(self.basis[0]), sum(self.basis[-1])
-        if not low <= n <= high:
-            return 0.0
-        start = math.comb(high + m, m) - math.comb(n + m, m)  # states above sector n
-        return float(np.sum(self.probabilities()[start : start + math.comb(n + m - 1, n)]))
+        return float(np.sum(self.probabilities()[_sector(self.basis, n)]))
 
 
 @functools.lru_cache(maxsize=64)
@@ -234,6 +242,27 @@ def _ladder(mode_count: int, photon_number: int) -> tuple[np.ndarray, np.ndarray
     up.setflags(write=False)
     gain.setflags(write=False)
     return up, gain
+
+
+@functools.lru_cache(maxsize=32)
+def _lowering(m: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every a_k^l / sqrt(l!) on enumerate_sectors(m, high), chained from ``_ladder`` tables:
+    it maps state ``source[k, l, s]`` (s + l e_k) to s with amplitude ``weight[k, l, s]``,
+    sqrt(C(s_k + l, l)), or 0 where s + l e_k lies above the top sector.  Cached: read-only."""
+    basis = _sectors(m, high, 0)
+    raised, gain = np.tile(np.arange(len(basis)), (m, 1)), np.zeros((m, len(basis)))
+    source, weight = [raised.copy()], [np.ones((m, len(basis)))]  # l = 0
+    for n in range(1, high + 1):  # a_k^dag; the top sector keeps s, with gain 0
+        up, g = _ladder(m, n)
+        raised[:, _sector(basis, n - 1)] = up.T + _sector(basis, n).start
+        gain[:, _sector(basis, n - 1)] = g.T
+    for lost in range(1, high + 1):
+        weight.append(weight[-1] * np.take_along_axis(gain, source[-1], 1) / math.sqrt(lost))
+        source.append(np.take_along_axis(raised, source[-1], 1))
+    source, weight = np.stack(source, 1), np.stack(weight, 1)
+    for table in (source, weight):
+        table.setflags(write=False)
+    return source, weight
 
 
 def _check_columns(columns, dim: int) -> np.ndarray:
@@ -260,9 +289,9 @@ def lift_unitary(u: ModeUnitary, photon_number: int, columns=None) -> np.ndarray
     enumerate_basis(m, N); otherwise it is the d x len(columns) matrix of just
     those input columns, in the order given.  Every step is elementwise across
     the columns, so they have the same bits as the matching columns of the full
-    lift.  A lift whose output would take more than ``_MAX_LIFT_BYTES`` is
-    refused before any table is built.  Working memory is several times the
-    output, since the last step's terms hold about m entries per output entry.
+    lift.  A lift is refused before any table is built if its last step, the
+    largest, would hold more than ``_MAX_LIFT_BYTES``: the amplitudes of
+    sectors N - 1 and N and the m terms of each amplitude of sector N - 1.
     """
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
@@ -270,10 +299,10 @@ def lift_unitary(u: ModeUnitary, photon_number: int, columns=None) -> np.ndarray
     m = u.mode_count
     d = math.comb(n + m - 1, n)
     cols = range(d) if columns is None else _check_columns(columns, d)
-    out_bytes = d * (d if columns is None else len(cols)) * 16
-    if out_bytes > _MAX_LIFT_BYTES:
+    work_bytes = (d + (m + 1) * (math.comb(n + m - 2, n - 1) if n else 0)) * len(cols) * 16
+    if work_bytes > _MAX_LIFT_BYTES:
         raise ValueError(
-            f"a lift of {n} photons over {m} modes needs {out_bytes} B of output, "
+            f"a lift of {n} photons over {m} modes needs {work_bytes} B of working memory, "
             f"above the {_MAX_LIFT_BYTES} B bound"
         )
     # Photon p of column c is the ranks[c, p]-th photon put into input mode modes[c, p].
@@ -288,6 +317,7 @@ def lift_unitary(u: ModeUnitary, photon_number: int, columns=None) -> np.ndarray
         terms *= coefs[:, :, p]
         amps = np.zeros((math.comb(p + m, m - 1), len(cols)), dtype=complex)
         np.add.at(amps, up, terms)  # amps[up[i, k]] += terms[i, k], for each i and k
+        del terms  # so that the next step's terms do not overlap these
     return amps
 
 

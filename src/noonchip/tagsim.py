@@ -302,16 +302,15 @@ class CoincidenceResult:
     pair_accidentals: dict[tuple[int, int], float]
 
     def pattern_counts(self) -> dict[str, int]:
-        return {
-            p.label: sum(self.pair_counts.get(pair, 0) for pair in p.detector_pairs)
-            for p in DETECTION_PATTERNS
-        }
+        return _pattern_sums(self.pair_counts)
 
     def pattern_accidentals(self) -> dict[str, float]:
-        return {
-            p.label: sum(self.pair_accidentals.get(pair, 0.0) for pair in p.detector_pairs)
-            for p in DETECTION_PATTERNS
-        }
+        return _pattern_sums(self.pair_accidentals)
+
+
+def _pattern_sums(per_pair: dict) -> dict:
+    """Label -> `per_pair` summed over its pattern's pairs (absent: 0), in pattern order."""
+    return {p.label: sum(per_pair.get(q, 0) for q in p.detector_pairs) for p in DETECTION_PATTERNS}
 
 
 def count_coincidences(stream: TagStream, window_ps: float, pairs) -> CoincidenceResult:
@@ -435,17 +434,13 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
     if not np.isfinite(phases).all():
         raise ValueError("phases must be finite")
     labels = [p.label for p in DETECTION_PATTERNS]
-    raw = np.zeros((len(scans), 3))
-    corrected = np.zeros((len(scans), 3))
-    sigmas = np.zeros((len(scans), 3))
+    raw, corrected, sigmas = np.zeros((3, len(scans), 3))
     insufficient = False
 
     for k, (_, stream) in enumerate(scans):
         res = count_pattern_coincidences(stream, window_ps)
-        counts = res.pattern_counts()
-        acc = res.pattern_accidentals()
-        n = np.array([counts[lab] for lab in labels], dtype=float)
-        n_corr = np.maximum(n - [acc[lab] for lab in labels], 0.0)
+        n = np.array(list(res.pattern_counts().values()), dtype=float)
+        n_corr = np.maximum(n - list(res.pattern_accidentals().values()), 0.0)
         if n.sum() == 0:
             insufficient = True
             sigmas[k] = 1.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from test_fock import haar_unitary
 
+from noonchip import fock
 from noonchip.circuit import mzi_unitary
 from noonchip.detection import (
     DETECTION_PATTERNS,
@@ -19,7 +20,13 @@ from noonchip.detection import (
     loss_budget,
     pattern_probs,
 )
-from noonchip.fock import DensityMatrix, enumerate_basis, evolve, lift_unitary
+from noonchip.fock import (
+    DensityMatrix,
+    enumerate_basis,
+    enumerate_sectors,
+    evolve,
+    lift_unitary,
+)
 from noonchip.sources import TWO_PHOTON_BASIS, noon_mixed
 
 PHI = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
@@ -48,6 +55,99 @@ def loss_enumeration_oracle(occ, eta_a, eta_b):
             key = (sum(fates_a), sum(fates_b))
             dist[key] = dist.get(key, 0.0) + p
     return dist
+
+
+def kraus_loss_oracle(rho, eta_a, eta_b):
+    """Two-mode loss as a Kraus sum: one dense operator per (photons lost in a, in b),
+    built entry by entry from binomial amplitudes."""
+
+    def amplitude(n, lost, eta):
+        return math.sqrt(math.comb(n, lost) * eta ** (n - lost) * (1.0 - eta) ** lost)
+
+    n_max = sum(rho.basis[0])
+    out_basis = enumerate_sectors(2, n_max)
+    out_index = {occ: i for i, occ in enumerate(out_basis)}
+    out = np.zeros((len(out_basis), len(out_basis)), dtype=complex)
+    for la in range(n_max + 1):
+        for lb in range(n_max + 1):
+            k = np.zeros((len(out_basis), len(rho.basis)))
+            for j, (na, nb) in enumerate(rho.basis):
+                if la <= na and lb <= nb:
+                    coeff = amplitude(na, la, eta_a) * amplitude(nb, lb, eta_b)
+                    k[out_index[(na - la, nb - lb)], j] = coeff
+            out += k @ rho.matrix @ k.T
+    return out
+
+
+def dilation_loss_oracle(rho, etas):
+    """Loss as a unitary dilation: mode k meets a vacuum environment mode m + k on a beam
+    splitter of transmission eta_k, then the environment is traced out."""
+    m = rho.mode_count
+    u = np.eye(2 * m)
+    for k, eta in enumerate(etas):
+        t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+        u[np.ix_([k, m + k], [k, m + k])] = [[t, -r], [r, t]]
+    high, low = sum(rho.basis[0]), sum(rho.basis[-1])
+    big_basis = [occ for n in range(high, low - 1, -1) for occ in enumerate_basis(2 * m, n)]
+    embed = np.zeros((len(big_basis), len(rho.basis)))
+    embed[[big_basis.index(occ + (0,) * m) for occ in rho.basis], range(len(rho.basis))] = 1.0
+    lifted = block_diag(*[lift_unitary(u, n) for n in range(high, low - 1, -1)]) @ embed
+    big = lifted @ rho.matrix @ lifted.conj().T
+    out_basis = enumerate_sectors(m, high)
+    out = np.zeros((len(out_basis), len(out_basis)), dtype=complex)
+    for i, a in enumerate(big_basis):
+        for j, b in enumerate(big_basis):
+            if a[m:] == b[m:]:
+                out[out_basis.index(a[:m]), out_basis.index(b[:m])] += big[i, j]
+    return out
+
+
+@st.composite
+def sector_states(draw, modes, max_photons=3):
+    """A random trace-one PSD state of rank 1 to 3 over whole sectors high..low (high <=
+    max_photons), over a mode count drawn from `modes`."""
+    m = draw(st.sampled_from(modes))
+    high = draw(st.integers(0, max_photons))
+    low = draw(st.integers(0, high))
+    basis = tuple(occ for n in range(high, low - 1, -1) for occ in enumerate_basis(m, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(len(basis), 3)) + 1j * rng.normal(size=(len(basis), 3))
+    a[:, 1:] *= rng.random(2) < 0.5
+    rho = a @ a.conj().T
+    return DensityMatrix(basis, rho / np.trace(rho).real)
+
+
+# Transmissions in [0, 1], with both edges drawn often.
+ETAS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestLossOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(sector_states([2]), ETAS, ETAS)
+    def test_two_modes_match_the_kraus_sum(self, rho, eta_a, eta_b):
+        got = apply_loss(rho, eta_a, eta_b).matrix
+        assert np.max(np.abs(got - kraus_loss_oracle(rho, eta_a, eta_b))) < 1e-14
+
+    @settings(max_examples=100, deadline=None)
+    @given(sector_states([1, 2, 3]), st.lists(ETAS, min_size=3, max_size=3))
+    def test_match_the_unitary_dilation(self, rho, etas):
+        etas = etas[: rho.mode_count]
+        got = apply_loss(rho, *etas)
+        assert got.basis == tuple(enumerate_sectors(rho.mode_count, sum(rho.basis[0])))
+        assert np.max(np.abs(got.matrix - dilation_loss_oracle(rho, etas))) < 1e-12
+
+    def test_dilation_oracle_on_a_known_case(self):
+        # |2, 0, 1> at (0.5, 1, 0.25): each photon of mode 0 survives with 1/2, mode 2's with 1/4.
+        basis = tuple(enumerate_basis(3, 3))
+        rho = DensityMatrix(basis, np.diag([float(occ == (2, 0, 1)) for occ in basis]))
+        out_basis = enumerate_sectors(3, 3)
+        want = np.zeros(len(out_basis))
+        mode0, mode2 = [(2, 0.25), (1, 0.5), (0, 0.25)], [(1, 0.25), (0, 0.75)]
+        for (k0, p0), (k2, p2) in product(mode0, mode2):
+            want[out_basis.index((k0, 0, k2))] = p0 * p2
+        oracle = dilation_loss_oracle(rho, (0.5, 1.0, 0.25))
+        assert np.allclose(np.real(np.diag(oracle)), want, rtol=0, atol=1e-15)
+        assert np.allclose(apply_loss(rho, 0.5, 1.0, 0.25).probabilities(), want, rtol=0, atol=1e-15)
 
 
 class TestApplyLoss:
@@ -95,6 +195,11 @@ class TestApplyLoss:
         with pytest.raises(ValueError):
             apply_loss(noon_mixed(0.5, 0, 1), 1.2, 0.5)
 
+    def test_tables_are_read_only(self):
+        apply_loss(noon_mixed(0.5, 0.3, 0.9), 0.5, 0.5)
+        source, weight = fock._lowering(2, 2)
+        assert not source.flags.writeable and not weight.flags.writeable
+
     @pytest.mark.parametrize("rho", [np.eye(3) / 3, None], ids=["array", "none"])
     def test_only_density_matrices_lose_photons(self, rho):
         with pytest.raises(TypeError):
@@ -102,32 +207,38 @@ class TestApplyLoss:
 
 
 @st.composite
-def two_photon_states(draw):
-    """A random trace-one PSD density matrix of rank 1 to 3 over TWO_PHOTON_BASIS."""
-    rank = draw(st.integers(1, 3))
-    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=6 * rank, max_size=6 * rank))
-    a = np.reshape(parts[::2], (3, rank)) + 1j * np.reshape(parts[1::2], (3, rank))
+def two_photon_states(draw, mode_count=2):
+    """A random trace-one PSD density matrix of rank 1 to 3 over the two-photon sector."""
+    basis = tuple(enumerate_basis(mode_count, 2))
+    d, rank = len(basis), draw(st.integers(1, 3))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d * rank, max_size=2 * d * rank))
+    a = np.reshape(parts[::2], (d, rank)) + 1j * np.reshape(parts[1::2], (d, rank))
     rho = a @ a.conj().T
     trace = np.trace(rho).real
     assume(trace > 1e-3)
-    return DensityMatrix(TWO_PHOTON_BASIS, rho / trace)
+    return DensityMatrix(basis, rho / trace)
 
 
-def loss_then_unitary(rho, u, eta_a, eta_b):
+def loss_then_unitary(rho, u, *etas):
     """B @ apply_loss(rho) @ B^dag, B the block-diagonal lift of u over sectors 2, 1, 0."""
     b = block_diag(*[lift_unitary(u, n) for n in (2, 1, 0)])
-    return b @ apply_loss(rho, eta_a, eta_b).matrix @ b.conj().T
+    return b @ apply_loss(rho, *etas).matrix @ b.conj().T
 
 
 class TestLossCommutesWithUnitary:
     """Uniform loss commutes with any mode unitary; unequal loss does not."""
 
     @settings(max_examples=200, deadline=None)
-    @given(two_photon_states(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    @given(
+        st.sampled_from([2, 3]).flatmap(two_photon_states),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+    )
     def test_uniform_loss(self, rho, seed, eta):
-        u = haar_unitary(2, seed)
-        got = apply_loss(evolve(rho, u), eta, eta).matrix
-        assert np.max(np.abs(got - loss_then_unitary(rho, u, eta, eta))) < 1e-12
+        m = rho.mode_count
+        u = haar_unitary(m, seed)
+        got = apply_loss(evolve(rho, u), *[eta] * m).matrix
+        assert np.max(np.abs(got - loss_then_unitary(rho, u, *[eta] * m))) < 1e-12
 
     def test_unequal_loss_differs(self):
         rho, u = noon_mixed(0.3, 0.4, 0.9), haar_unitary(2, 5)

@@ -319,9 +319,10 @@ class TestLiftUnitary:
         assert np.max(np.abs(out.probabilities() - want)) < 1e-12
 
     def test_lift_above_the_memory_bound_refused(self, monkeypatch):
-        # The full (4, 4) lift is 35 x 35 complex entries.
+        # The last step of the full (4, 4) lift holds the 35 x 35 output, the 20 x 35
+        # amplitudes of sector 3 and their 4 x 20 x 35 terms, all complex.
         u = ModeUnitary(haar_unitary(4, 8))
-        full_bytes = 35 * 35 * 16
+        full_bytes = (35 + 5 * 20) * 35 * 16
         monkeypatch.setattr(fock, "_MAX_LIFT_BYTES", full_bytes - 1)
         with pytest.raises(ValueError, match="bound"):
             lift_unitary(u, 4)
@@ -333,15 +334,17 @@ class TestLiftUnitary:
         assert lift_unitary(u, 4).shape == (35, 35)
 
     def test_sixty_photon_four_mode_lift_refused_before_the_tables(self, monkeypatch):
-        # 39,711 x 39,711 complex entries would take about 25 GB.  The stubbed tables keep
-        # this test from building anything were the bound gone.
+        # The last step would hold 39,711 x 39,711 output entries and 5 x 37,820 x 39,711
+        # more, about 145 GB.  The stubbed tables keep this test from building anything
+        # were the bound gone.
         def unbuilt(*args):
             raise AssertionError(f"lift tables built for {args}")
 
         monkeypatch.setattr(fock, "_ladder", unbuilt)
-        with pytest.raises(ValueError, match=f"{39711**2 * 16} B"):
+        with pytest.raises(ValueError, match=f"{(39711 + 5 * 37820) * 39711 * 16} B"):
             lift_unitary(ModeUnitary(np.eye(4)), 60)
-        # The full (4, 20) lift, 1771 x 1771 entries (about 50 MB), passes the bound.
+        # The full (4, 20) lift, whose last step holds (1771 + 5 x 1540) x 1771 entries
+        # (about 268 MB), passes the bound.
         with pytest.raises(AssertionError, match="built"):
             lift_unitary(ModeUnitary(np.eye(4)), 20)
 
@@ -707,11 +710,11 @@ class TestTrustedStates:
     checks; each state must still pass them unchanged."""
 
     @settings(max_examples=150, deadline=None)
-    @given(checked_states(), st.integers(0, 2**32 - 1), _UNIT, _UNIT)
-    def test_public_constructor_accepts_every_trusted_state(self, state, seed, eta_a, eta_b):
+    @given(checked_states(), st.integers(0, 2**32 - 1), st.lists(_UNIT, min_size=4, max_size=4))
+    def test_public_constructor_accepts_every_trusted_state(self, state, seed, etas):
         assert_public_constructor_agrees(state)
         out = evolve(state, ModeUnitary(haar_unitary(state.mode_count, seed)))
         assert_public_constructor_agrees(out)
-        if state.mode_count == 2:
-            assert_public_constructor_agrees(apply_loss(state, eta_a, eta_b))
-            assert_public_constructor_agrees(apply_loss(out, eta_a, eta_b))
+        etas = etas[: state.mode_count]
+        assert_public_constructor_agrees(apply_loss(state, *etas))
+        assert_public_constructor_agrees(apply_loss(out, *etas))

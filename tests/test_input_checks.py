@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from noonchip import circuit, detection, fock, hom, sources, tagsim
 
 RHO = sources.noon_mixed(0.5, 0.0, 0.9)
+RHO3 = fock.DensityMatrix(tuple(fock.enumerate_basis(3, 1)), np.eye(3) / 3)
 PHI = np.linspace(0.0, 2.0 * math.pi, 12)
 CAL = circuit.ThermoOpticCalibration()
 STREAM = tagsim.TagStream(np.array([0, 2]), np.array([0, 10]), 1.0)
@@ -72,6 +73,14 @@ PROBES = [
     ("LossSpec entry", lambda x: detection.LossSpec({"grating_coupler": x}), 0.5, -1.0),
     ("apply_loss.eta_a", lambda x: detection.apply_loss(RHO, x, 1.0), 0.5, 1.5),
     ("apply_loss.eta_b", lambda x: detection.apply_loss(RHO, 1.0, x), 0.5, -0.5),
+    *[
+        (
+            f"apply_loss.transmissions[{k}] of 3",
+            lambda x, k=k: detection.apply_loss(RHO3, *[1.0] * k, x, *[1.0] * (2 - k)),
+            0.5, 1.5,
+        )
+        for k in range(3)
+    ],
     ("fit_fringe.frequency", lambda x: detection.fit_fringe(PHI, np.cos(PHI) ** 2, x), 2.0, 0.0),
     ("loss_budget.rate", lambda x: detection.loss_budget(x, 13.0, 1.0), 0.5, -1.0),
     ("loss_budget.loss", lambda x: detection.loss_budget(1e3, x, 1.0), 0.5, -1.0),
@@ -172,6 +181,14 @@ def test_bad_number_raises_value_error(probe):
 def test_probe_accepts_its_valid_number(call, valid):
     # So that each bad value above is what raises, not the rest of the call.
     call(valid)
+
+
+@pytest.mark.parametrize("state", [RHO, RHO3], ids=["2 modes", "3 modes"])
+@pytest.mark.parametrize("offset", [None, -1, 1], ids=["none", "one short", "one over"])
+def test_apply_loss_takes_one_transmission_per_mode(state, offset):
+    count = 0 if offset is None else state.mode_count + offset
+    with pytest.raises(ValueError, match=f"must be {state.mode_count} numbers, got {count}"):
+        detection.apply_loss(state, *[0.5] * count)
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf]).flatmap(
