@@ -14,6 +14,8 @@ mode; ``[Loss(0, 0.5), Coupler(0, 1)]`` wrongly composes to the same
 
 from __future__ import annotations
 
+import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -38,13 +40,19 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """An element class's field names, in order: its modes, then its parameter."""
+    return tuple(f.name for f in fields(cls))
+
+
 class _Element:
     """Shared layout: distinct integer mode fields, then one finite parameter in _param_range."""
 
     _param_range = (-math.inf, math.inf)
 
     def _layout(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
+        return [getattr(self, name) for name in _field_names(type(self))]
 
     def __post_init__(self):
         *modes, param = self._layout()
@@ -52,7 +60,7 @@ class _Element:
             _check_index("mode", m)
         if len(set(modes)) != len(modes):
             raise ValueError(f"{self.kind} modes must be distinct")
-        _check_finite(fields(self)[-1].name, param, *self._param_range)
+        _check_finite(_field_names(type(self))[-1], param, *self._param_range)
 
 
 @dataclass(frozen=True)
@@ -152,11 +160,11 @@ def compose(spec: CircuitSpec) -> tuple[ModeUnitary, np.ndarray]:
     transmissions = np.ones(spec.mode_count)
     for el in spec.elements:
         if isinstance(el, PhaseShifter):
-            u[el.mode] *= np.exp(1j * el.theta)
+            u[el.mode] *= cmath.exp(1j * el.theta)
         elif isinstance(el, Coupler):
-            c, s = math.cos(el.mixing), math.sin(el.mixing)
-            rows = [el.mode_i, el.mode_j]
-            u[rows] = np.array([[c, 1j * s], [1j * s, c]]) @ u[rows]
+            c, s = math.cos(el.mixing), 1j * math.sin(el.mixing)
+            ui, uj = u[el.mode_i], u[el.mode_j]  # row views; both new rows are built first
+            u[el.mode_i], u[el.mode_j] = c * ui + s * uj, s * ui + c * uj
         else:
             transmissions[el.mode] *= el.transmission
     return ModeUnitary(u), transmissions
@@ -195,8 +203,9 @@ def circuit_from_dict(doc: dict) -> CircuitSpec:
         cls = _KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise ValueError(f"element {i}: unknown kind {kind!r}")
-        if not isinstance(modes, list) or len(modes) != len(fields(cls)) - 1:
-            raise ValueError(f"element {i}: {kind} takes a list of {len(fields(cls)) - 1} mode(s)")
+        mode_count = len(_field_names(cls)) - 1
+        if not isinstance(modes, list) or len(modes) != mode_count:
+            raise ValueError(f"element {i}: {kind} takes a list of {mode_count} mode(s)")
         elements.append(cls(*modes) if param is None else cls(*modes, param))
     return CircuitSpec(doc.get("mode_count"), tuple(elements))
 

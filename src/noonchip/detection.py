@@ -16,7 +16,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .fock import DensityMatrix, _check_finite, _check_floats, _check_positive
-from .fock import _lowering, _sector, _sectors
+from .fock import _check_work_bytes, _lowering, _sector, _sectors
 
 __all__ = [
     "DetectionPattern",
@@ -105,17 +105,22 @@ def apply_loss(rho: DensityMatrix, *transmissions: float) -> DensityMatrix:
     rho -> eta^(n_k/2) [sum_l (1 - eta)^l / l! a_k^l rho a_k^dag^l] eta^(n_k/2), with
     a_k^l / sqrt(l!) from ``fock._lowering``, the lift's ladder tables read downwards.
     The output spans every sector from the input's top down to vacuum.  A loss channel
-    maps a checked state to a state, so the output is built without a re-check.
+    maps a checked state to a state, so the output is built without a re-check.  Each
+    mode's gather holds (N + 1) d^2 complex entries, d the output dimension; a channel
+    whose gather would exceed ``fock._MAX_LIFT_BYTES`` is refused before any table is built.
     """
     if not isinstance(rho, DensityMatrix):
         raise TypeError(f"cannot apply loss to object of type {type(rho).__name__}")
-    etas = _check_floats("transmissions", transmissions, rho.mode_count, 0.0, 1.0)
-    basis = _sectors(rho.mode_count, sum(rho.basis[0]), 0)
-    source, weight = _lowering(rho.mode_count, sum(rho.basis[0]))
-    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    m, high = rho.mode_count, sum(rho.basis[0])
+    etas = _check_floats("transmissions", transmissions, m, 0.0, 1.0)
+    d = math.comb(high + m, m)
+    _check_work_bytes(f"loss on {high} photons over {m} modes", (high + 1) * d * d * 16)
+    basis = _sectors(m, high, 0)
+    source, weight, half_l, half_n = _lowering(m, high)
+    out = np.zeros((d, d), dtype=complex)
     out[: len(rho.basis), : len(rho.basis)] = rho.matrix  # rho.basis leads the output basis
-    for eta, n_k, src, w in zip(etas, np.array(basis).T, source, weight):
-        f = w * (1.0 - eta) ** (np.arange(len(w))[:, None] / 2) * eta ** (n_k / 2)  # l = row
+    for eta, src, w, hn in zip(etas, source, weight, half_n):
+        f = w * (1.0 - eta) ** half_l * eta**hn  # l = row
         out = np.einsum("la,lb,lab->ab", f, f, out[src[:, :, None], src[:, None, :]])
     return DensityMatrix._trusted(basis, out)
 

@@ -17,16 +17,22 @@ Conventions used throughout the package:
   creation operators to the vacuum one photon at a time (the column step of
   SLOS: Heurtel, Mansfield, Senellart & Mezher, arXiv:2206.10549).  Each step
   reads one ``_ladder`` table, the creation operators from sector n - 1 to
-  sector n, built once per (modes, photons) pair and cached read-only.  No
-  permanent and no factorial is formed, so the photon number has no cap.  A
-  lift whose last step would hold more than ``_MAX_LIFT_BYTES`` is refused
-  before any table is built.  ``evolve`` lifts only the Fock columns its
-  input occupies: every index whose row or column of rho holds a nonzero
-  entry.
+  sector n, in the order that ``_lift_plan`` gives each column's photons.
+  No permanent and no factorial is formed, so the photon number has no cap.
+  A lift whose last step and coefficients would hold more than
+  ``_MAX_LIFT_BYTES`` is refused before any table is built.  ``evolve``
+  lifts only the Fock columns its input occupies: every index whose row or
+  column of rho holds a nonzero entry.
 * ``detection.apply_loss`` is the pure-loss channel in closed form, mode by mode:
   rho -> eta^(n_k/2) [sum_l (1 - eta)^l / l! a_k^l rho a_k^dag^l] eta^(n_k/2).
   ``_lowering`` gives it every a_k^l from the ``_ladder`` tables read downwards:
   a_k |t + e_k> = gain[i, k] |t>, t state i of sector n - 1, t + e_k state up[i, k].
+  Its gather is bounded by ``_MAX_LIFT_BYTES`` too, checked before ``_lowering`` runs.
+* Every cached table depends only on shapes: ``_sectors`` per (modes, photon
+  range), ``_ladder`` per (modes, photons), ``_lift_plan`` per (modes, photons,
+  columns) and ``_lowering`` per (modes, top sector).  Each is built lazily, on
+  its first call and never at import, and is immutable (tuples, or arrays
+  frozen read-only), so a call pays only for its own arithmetic.
 * States are checked once, where they enter.  ``DensityMatrix(basis, matrix)``
   checks everything.  ``DensityMatrix._trusted`` checks nothing and serves
   only producers whose inputs are checked objects and whose output is valid
@@ -57,7 +63,8 @@ __all__ = [
 UNITARY_ATOL = 1e-10
 NORM_ATOL = 1e-12
 PSD_ATOL = 1e-10
-# The last step of one lift: (d_N + (m + 1) d_(N-1)) x columns complex entries.
+# Working memory of one lift, whose last step holds (d_N + (m + 1) d_(N-1)) x columns
+# complex entries besides its m x columns x N coefficients, or of one loss channel's gather.
 _MAX_LIFT_BYTES = 1 << 30
 
 Occupation = tuple[int, ...]
@@ -67,6 +74,13 @@ def _check_index(name: str, value, low: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _check_work_bytes(what: str, work_bytes: int) -> None:
+    if work_bytes > _MAX_LIFT_BYTES:
+        raise ValueError(
+            f"{what} needs {work_bytes} B of working memory, above the {_MAX_LIFT_BYTES} B bound"
+        )
 
 
 def _check_finite(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
@@ -245,10 +259,12 @@ def _ladder(mode_count: int, photon_number: int) -> tuple[np.ndarray, np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
-def _lowering(m: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+def _lowering(m: int, high: int) -> tuple[np.ndarray, ...]:
     """Every a_k^l / sqrt(l!) on enumerate_sectors(m, high), chained from ``_ladder`` tables:
     it maps state ``source[k, l, s]`` (s + l e_k) to s with amplitude ``weight[k, l, s]``,
-    sqrt(C(s_k + l, l)), or 0 where s + l e_k lies above the top sector.  Cached: read-only."""
+    sqrt(C(s_k + l, l)), or 0 where s + l e_k lies above the top sector.  With them come the
+    loss channel's exponents: ``half_l[l, 0]`` = l / 2 and ``half_n[k, s]`` = s_k / 2.
+    Cached: read-only."""
     basis = _sectors(m, high, 0)
     raised, gain = np.tile(np.arange(len(basis)), (m, 1)), np.zeros((m, len(basis)))
     source, weight = [raised.copy()], [np.ones((m, len(basis)))]  # l = 0
@@ -259,10 +275,30 @@ def _lowering(m: int, high: int) -> tuple[np.ndarray, np.ndarray]:
     for lost in range(1, high + 1):
         weight.append(weight[-1] * np.take_along_axis(gain, source[-1], 1) / math.sqrt(lost))
         source.append(np.take_along_axis(raised, source[-1], 1))
-    source, weight = np.stack(source, 1), np.stack(weight, 1)
-    for table in (source, weight):
+    half_l, half_n = np.arange(high + 1)[:, None] / 2, np.array(basis).T / 2
+    tables = np.stack(source, 1), np.stack(weight, 1), half_l, half_n
+    for table in tables:
         table.setflags(write=False)
-    return source, weight
+    return tables
+
+
+@functools.lru_cache(maxsize=32)
+def _lift_plan(m: int, n: int, columns: bytes | None) -> tuple[np.ndarray, np.ndarray]:
+    """The order in which ``lift_unitary`` adds each column's photons, as read-only tables.
+
+    ``columns`` holds the intp bytes of the lifted columns, or None for all of
+    enumerate_basis(m, n).  Photon p of column c is the r-th photon put into input mode
+    ``modes[c, p]``, and ``roots[c, p]`` is sqrt(r); a column's photons enter mode by mode.
+    """
+    basis = _sectors(m, n, n)
+    cols = range(len(basis)) if columns is None else np.frombuffer(columns, dtype=np.intp)
+    occupations = np.array([basis[c] for c in cols], dtype=np.intp).reshape(len(cols), m)
+    modes = np.repeat(np.tile(np.arange(m), len(cols)), occupations.ravel()).reshape(len(cols), n)
+    first = np.cumsum(occupations, axis=1) - occupations  # each mode's first photon
+    roots = np.sqrt(np.arange(1, n + 1) - np.take_along_axis(first, modes, 1))
+    modes.setflags(write=False)
+    roots.setflags(write=False)
+    return modes, roots
 
 
 def _check_columns(columns, dim: int) -> np.ndarray:
@@ -290,8 +326,9 @@ def lift_unitary(u: ModeUnitary, photon_number: int, columns=None) -> np.ndarray
     those input columns, in the order given.  Every step is elementwise across
     the columns, so they have the same bits as the matching columns of the full
     lift.  A lift is refused before any table is built if its last step, the
-    largest, would hold more than ``_MAX_LIFT_BYTES``: the amplitudes of
-    sectors N - 1 and N and the m terms of each amplitude of sector N - 1.
+    largest, would hold more than ``_MAX_LIFT_BYTES`` together with the
+    coefficients: the amplitudes of sectors N - 1 and N, the m terms of each
+    amplitude of sector N - 1, and U[k, j] / sqrt(r) for each of the N photons.
     """
     if not isinstance(u, ModeUnitary):
         u = ModeUnitary(u)
@@ -299,17 +336,11 @@ def lift_unitary(u: ModeUnitary, photon_number: int, columns=None) -> np.ndarray
     m = u.mode_count
     d = math.comb(n + m - 1, n)
     cols = range(d) if columns is None else _check_columns(columns, d)
-    work_bytes = (d + (m + 1) * (math.comb(n + m - 2, n - 1) if n else 0)) * len(cols) * 16
-    if work_bytes > _MAX_LIFT_BYTES:
-        raise ValueError(
-            f"a lift of {n} photons over {m} modes needs {work_bytes} B of working memory, "
-            f"above the {_MAX_LIFT_BYTES} B bound"
-        )
-    # Photon p of column c is the ranks[c, p]-th photon put into input mode modes[c, p].
-    basis = _sectors(m, n, n)
-    steps = [[(j, r) for j, s in enumerate(basis[c]) for r in range(1, s + 1)] for c in cols]
-    modes, ranks = np.array(steps, dtype=np.intp).reshape(len(cols), n, 2).transpose(2, 0, 1)
-    coefs = u.matrix[:, modes] / np.sqrt(ranks)  # (m, columns, N): U[k, j] / sqrt(r)
+    last_step = d + (m + 1) * (math.comb(n + m - 2, n - 1) if n else 0)
+    _check_work_bytes(f"a lift of {n} photons over {m} modes", (last_step + m * n) * len(cols) * 16)
+    key = None if columns is None else cols.astype(np.intp, copy=False).tobytes()
+    modes, roots = _lift_plan(m, n, key)
+    coefs = u.matrix[:, modes] / roots  # (m, columns, N): U[k, j] / sqrt(r)
     amps = np.ones((1, len(cols)), dtype=complex)  # the vacuum, once per column
     for p in range(n):
         up, gain = _ladder(m, p + 1)
@@ -347,7 +378,7 @@ def evolve(state: DensityMatrix, u: ModeUnitary) -> DensityMatrix:
     nonzero = state.matrix != 0
     s = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     lifted = lift_unitary(u, n, s)
-    rho = lifted @ state.matrix[np.ix_(s, s)] @ lifted.conj().T
+    rho = lifted @ state.matrix[s[:, None], s] @ lifted.conj().T
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > NORM_ATOL:
         dev = np.max(np.abs(u.matrix @ u.matrix.conj().T - np.eye(u.mode_count)))

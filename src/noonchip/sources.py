@@ -35,7 +35,7 @@ SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 # Root of (sin x / x)^2 = 1/2; fixes the sinc^2 width normalization.
 _SINC_HALF_X = 1.39155737825151
 
-# Samples of the shared grid on which spectral_overlap integrates.
+# Samples of the shared grid on which spectral_overlap integrates a pair with a sinc^2 spectrum.
 _OVERLAP_GRID_POINTS = 20001
 
 
@@ -114,11 +114,17 @@ def noon_mixed(balance: float, phase: float, purity: float) -> DensityMatrix:
 def spectral_overlap(s1: SpectrumSpec, s2: SpectrumSpec) -> float:
     """|integral f1(w) f2(w) dw|^2 for unit-normalized spectral amplitudes.
 
-    Evaluated by the trapezoid rule on a shared grid spanning 5 FWHM beyond
-    both spectra; symmetric in its arguments.  Equals the purity parameter
-    of the mixed two-photon state when the two sources differ only
-    spectrally.
+    Two Gaussians of intensity FWHM W1, W2 and center offset dw have the
+    closed form 2 W1 W2 / (W1^2 + W2^2) * exp(-4 ln 2 dw^2 / (W1^2 + W2^2)).
+    A pair with a sinc^2 spectrum is evaluated by the trapezoid rule on a
+    shared grid spanning 5 FWHM beyond both spectra.  Symmetric in its
+    arguments.  Equals the purity parameter of the mixed two-photon state
+    when the two sources differ only spectrally.
     """
+    if s1.shape == s2.shape == "gaussian":
+        w1, w2 = s1.fwhm_angular_freq, s2.fwhm_angular_freq
+        spread, detuning = w1**2 + w2**2, s1.center_angular_freq - s2.center_angular_freq
+        return 2.0 * w1 * w2 / spread * math.exp(-4.0 * math.log(2.0) * detuning**2 / spread)
     w1, w2 = s1.center_angular_freq, s2.center_angular_freq
     span = 5.0 * max(s1.fwhm_angular_freq, s2.fwhm_angular_freq)
     lo, hi = min(w1, w2) - span, max(w1, w2) + span

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from noonchip import circuit
 from noonchip.circuit import (
     CircuitSpec,
     Coupler,
@@ -50,6 +52,19 @@ def compose_oracle(spec):
     return u, transmissions
 
 
+def fancy_index_compose_oracle(spec):
+    # Each coupler as a 2 x 2 matrix product on its two rows, read and written by fancy index.
+    u = np.eye(spec.mode_count, dtype=complex)
+    for el in spec.elements:
+        if isinstance(el, PhaseShifter):
+            u[el.mode] *= np.exp(1j * el.theta)
+        elif isinstance(el, Coupler):
+            c, s = math.cos(el.mixing), math.sin(el.mixing)
+            rows = [el.mode_i, el.mode_j]
+            u[rows] = np.array([[c, 1j * s], [1j * s, c]]) @ u[rows]
+    return u
+
+
 _angles = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
 
 
@@ -92,6 +107,20 @@ class TestElements:
     def test_loss_range(self):
         with pytest.raises(ValueError):
             Loss(0, 1.5)
+
+    @pytest.mark.parametrize(
+        "cls, modes, param",
+        [(PhaseShifter, (0,), "theta"), (Coupler, (0, 1), "mixing"), (Loss, (0,), "transmission")],
+    )
+    def test_checks_hold_once_the_field_names_are_cached(self, cls, modes, param):
+        cls(*modes)  # fills the per-class field-name cache
+        assert circuit._field_names(cls) == tuple(f.name for f in dataclasses.fields(cls))
+        assert circuit._field_names(cls)[-1] == param
+        with pytest.raises(ValueError, match="mode"):
+            cls(-1, *modes[1:])
+        with pytest.raises(ValueError, match=param):
+            cls(*modes, math.nan)
+        assert cls(*modes) == cls(*modes)
 
 
 class TestMzi:
@@ -151,6 +180,15 @@ class TestCompose:
         want_u, want_transmissions = compose_oracle(spec)
         assert np.allclose(u.matrix, want_u, rtol=0, atol=1e-14)
         assert np.array_equal(transmissions, want_transmissions)
+
+    @given(netlists())
+    def test_matches_the_fancy_index_loop(self, spec):
+        # The 2 x 2 product goes through BLAS, whose kernel may fuse a multiply and an add,
+        # so each coupler may round each entry differently, by at most two roundings.
+        couplers = sum(isinstance(el, Coupler) for el in spec.elements)
+        got = compose(spec)[0].matrix
+        want = fancy_index_compose_oracle(spec)
+        assert np.max(np.abs(got - want)) <= 2 * couplers * np.finfo(float).eps
 
     def test_non_element_rejected(self):
         with pytest.raises(TypeError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from test_fock import haar_unitary
 
-from noonchip import fock
+from noonchip import detection, fock
 from noonchip.circuit import mzi_unitary
 from noonchip.detection import (
     DETECTION_PATTERNS,
@@ -197,8 +197,27 @@ class TestApplyLoss:
 
     def test_tables_are_read_only(self):
         apply_loss(noon_mixed(0.5, 0.3, 0.9), 0.5, 0.5)
-        source, weight = fock._lowering(2, 2)
-        assert not source.flags.writeable and not weight.flags.writeable
+        tables = fock._lowering(2, 2)  # source, weight and the exponents l / 2 and n_k / 2
+        assert len(tables) == 4 and not any(table.flags.writeable for table in tables)
+
+    def test_loss_above_the_memory_bound_refused(self, monkeypatch):
+        # Each mode's gather of the (2, 2) channel holds 3 x 6 x 6 complex entries: l = 0, 1,
+        # 2 over the six states of sectors 2, 1 and 0.  The (4, 20) gather, 21 x 10,626^2
+        # entries, would be 38 GB.
+        rho = noon_mixed(0.5, 0.3, 0.9)
+        gather_bytes = 3 * 6 * 6 * 16
+        want = apply_loss(rho, 0.5, 0.7)
+
+        def unbuilt(*args):
+            raise AssertionError(f"loss tables built for {args}")
+
+        monkeypatch.setattr(fock, "_MAX_LIFT_BYTES", gather_bytes - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(detection, "_lowering", unbuilt)
+            with pytest.raises(ValueError, match=f"{gather_bytes} B"):
+                apply_loss(rho, 0.5, 0.7)
+        monkeypatch.setattr(fock, "_MAX_LIFT_BYTES", gather_bytes)
+        assert np.array_equal(apply_loss(rho, 0.5, 0.7).matrix, want.matrix)
 
     @pytest.mark.parametrize("rho", [np.eye(3) / 3, None], ids=["array", "none"])
     def test_only_density_matrices_lose_photons(self, rho):

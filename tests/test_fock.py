@@ -320,9 +320,10 @@ class TestLiftUnitary:
 
     def test_lift_above_the_memory_bound_refused(self, monkeypatch):
         # The last step of the full (4, 4) lift holds the 35 x 35 output, the 20 x 35
-        # amplitudes of sector 3 and their 4 x 20 x 35 terms, all complex.
+        # amplitudes of sector 3 and their 4 x 20 x 35 terms, besides the 4 x 35 x 4
+        # coefficients U[k, j] / sqrt(r), all complex.
         u = ModeUnitary(haar_unitary(4, 8))
-        full_bytes = (35 + 5 * 20) * 35 * 16
+        full_bytes = (35 + 5 * 20 + 4 * 4) * 35 * 16
         monkeypatch.setattr(fock, "_MAX_LIFT_BYTES", full_bytes - 1)
         with pytest.raises(ValueError, match="bound"):
             lift_unitary(u, 4)
@@ -335,16 +336,17 @@ class TestLiftUnitary:
 
     def test_sixty_photon_four_mode_lift_refused_before_the_tables(self, monkeypatch):
         # The last step would hold 39,711 x 39,711 output entries and 5 x 37,820 x 39,711
-        # more, about 145 GB.  The stubbed tables keep this test from building anything
-        # were the bound gone.
+        # more, besides 4 x 39,711 x 60 coefficients, about 146 GB.  The stubbed tables
+        # keep this test from building anything were the bound gone.
         def unbuilt(*args):
             raise AssertionError(f"lift tables built for {args}")
 
         monkeypatch.setattr(fock, "_ladder", unbuilt)
-        with pytest.raises(ValueError, match=f"{(39711 + 5 * 37820) * 39711 * 16} B"):
+        monkeypatch.setattr(fock, "_lift_plan", unbuilt)
+        with pytest.raises(ValueError, match=f"{(39711 + 5 * 37820 + 4 * 60) * 39711 * 16} B"):
             lift_unitary(ModeUnitary(np.eye(4)), 60)
-        # The full (4, 20) lift, whose last step holds (1771 + 5 x 1540) x 1771 entries
-        # (about 268 MB), passes the bound.
+        # The full (4, 20) lift, whose last step and coefficients hold
+        # (1771 + 5 x 1540 + 4 x 20) x 1771 entries (about 271 MB), passes the bound.
         with pytest.raises(AssertionError, match="built"):
             lift_unitary(ModeUnitary(np.eye(4)), 20)
 
@@ -592,6 +594,27 @@ class TestLiftColumns:
         lifted = lift_unitary(ModeUnitary(np.eye(3)), 2)
         lifted[:] = 0  # a caller's own copy, not the cache
         assert np.allclose(lift_unitary(ModeUnitary(np.eye(3)), 2), np.eye(6))
+
+    def test_lift_plan_is_read_only(self):
+        u = ModeUnitary(haar_unitary(3, 5))
+        want = lift_unitary(u, 3, [1, 7])
+        modes, roots = fock._lift_plan(3, 3, np.array([1, 7], dtype=np.intp).tobytes())
+        for table in (modes, roots):
+            with pytest.raises(ValueError):
+                table[0, 0] = 2
+        assert np.array_equal(lift_unitary(u, 3, np.array([1, 7], dtype=np.int32)), want)
+
+    @pytest.mark.parametrize("m, n", [(1, 0), (1, 5), (2, 3), (3, 2), (4, 4)])
+    def test_lift_plan_matches_the_photon_list(self, m, n):
+        # The plan as a Python list of (mode, rank) pairs, photon by photon, mode by mode.
+        basis = enumerate_basis(m, n)
+        cols = [len(basis) - 1, 0] * 2
+        steps = [[(j, r) for j, s in enumerate(basis[c]) for r in range(1, s + 1)] for c in cols]
+        modes, ranks = np.array(steps, dtype=np.intp).reshape(len(cols), n, 2).transpose(2, 0, 1)
+        plan = fock._lift_plan(m, n, np.array(cols, dtype=np.intp).tobytes())
+        assert np.array_equal(plan[0], modes) and np.array_equal(plan[1], np.sqrt(ranks))
+        full = fock._lift_plan(m, n, None)
+        assert full[0].shape == full[1].shape == (len(basis), n)
 
     def test_ladder_tables_are_the_creation_operators(self):
         for m, n in [(1, 3), (2, 2), (3, 2), (4, 3)]:

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 from test_fock import pure
 
 from noonchip.sources import (
@@ -22,6 +22,20 @@ def simpson_overlap_oracle(s1, s2):
     grid = np.linspace(min(w1, w2) - span, max(w1, w2) + span, 20001)
     i1, i2 = s1.intensity(grid - w1), s2.intensity(grid - w2)
     return simpson(np.sqrt(i1 * i2), x=grid) ** 2 / (simpson(i1, x=grid) * simpson(i2, x=grid))
+
+
+def quad_overlap_oracle(s1, s2):
+    # Adaptive quadrature over the whole line, with no grid: numerator and both norms.
+    mid = (s1.center_angular_freq + s2.center_angular_freq) / 2
+
+    def intensity(spec):
+        return lambda x: float(spec.intensity(x + mid - spec.center_angular_freq))
+
+    def integral(f):
+        return quad(f, -math.inf, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    i1, i2 = intensity(s1), intensity(s2)
+    return integral(lambda x: math.sqrt(i1(x) * i2(x))) ** 2 / (integral(i1) * integral(i2))
 
 
 class TestNoonPure:
@@ -115,6 +129,27 @@ class TestSpectralOverlap:
         )
         assert oracle == pytest.approx(0.25, abs=1e-9)
         assert spectral_overlap(s1, s2) == pytest.approx(0.25, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "spec1, spec2",
+        [
+            ((1562.0, 50.0), (1563.0, 50.0)),
+            ((1550.0, 40.0), (1570.0, 60.0)),
+            ((1540.0, 50.0), (1650.0, 50.0)),
+        ],
+        ids=["equal-widths", "unequal-widths", "large-detuning"],
+    )
+    def test_gaussian_closed_form_matches_quadrature(self, spec1, spec2):
+        s1, s2 = SpectrumSpec(*spec1), SpectrumSpec(*spec2)
+        assert spectral_overlap(s1, s2) == pytest.approx(quad_overlap_oracle(s1, s2), abs=1e-12)
+        assert spectral_overlap(s1, s2) == spectral_overlap(s2, s1)
+
+    def test_narrow_gaussian_against_a_wide_one(self):
+        # Same center, so the overlap is 2 W1 W2 / (W1^2 + W2^2) with the widths in nm.  A
+        # grid sized by the wider spectrum undersamples the narrow one and gave 4.70e-4.
+        got = spectral_overlap(SpectrumSpec(1562.0, 50.0), SpectrumSpec(1562.0, 0.01))
+        assert got == pytest.approx(2 * 50.0 * 0.01 / (50.0**2 + 0.01**2), rel=1e-12)
+        assert round(got, 6) == 4.00e-4
 
     def test_symmetry(self):
         s1 = SpectrumSpec(1550.0, 40.0)
