@@ -6,6 +6,14 @@ pattern and splitter-tree outcomes, thinned by per-mode transmission and
 per-detector efficiency, jittered, and merged with per-channel Poisson dark
 counts.  Timestamps are integer picoseconds.
 
+Each record is sorted as one int64 key, timestamp * 4 + channel.  Pair times
+are drawn sorted, so with zero jitter and every dark rate zero the key is two
+runs in pair-time order, photon 1's then photon 2's (out of channel order only
+where pairs share a picosecond), which a stable sort merges in about linear
+time.  No key is negative (a jittered stamp below 0 is dropped before the
+cast), so the records inside the window [0, duration) are a prefix of the
+sorted key.
+
 Coincidences of every detector pair come from one split of the stream at
 each gap wider than window/2, which no match of the greedy walk crosses in
 any pair's sub-stream; a self pair (c, c) counts singles[c].
@@ -207,7 +215,11 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
     duration_ps = int(round(cfg.duration_s * 1e12))
 
     n_pairs = int(rng.poisson(cfg.pair_rate_hz * cfg.duration_s))
-    t_pair = np.sort(rng.random(n_pairs)) * cfg.duration_s
+    # Sorted pair times in ps, scaled in place: (u * duration_s) * 1e12.
+    t_ps = rng.random(n_pairs)
+    t_ps.sort()
+    t_ps *= cfg.duration_s
+    t_ps *= 1e12
 
     # For a non-decreasing cum, u >= cum[k] is searchsorted(cum, u, "right") > k.
     # Photon modes per pattern: (2,0) -> both a, (1,1) -> one each, (0,2) -> both b.
@@ -229,7 +241,6 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
         keep1 = emitted & (rng.random(n_pairs) < eta[mode1]) & (rng.random(n_pairs) < eff[det1])
         keep2 = emitted & (rng.random(n_pairs) < eta[mode2]) & (rng.random(n_pairs) < eff[det2])
 
-    t_ps = t_pair * 1e12
     if noisy:
         ts1 = np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs))
         ts2 = np.rint(t_ps + rng.normal(0.0, cfg.jitter_sigma_ps, n_pairs))
@@ -241,10 +252,10 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
         ts1 = np.where(keep1, ts1, 0.0).astype(np.int64)
         ts2 = np.where(keep2, ts2, 0.0).astype(np.int64)
     else:
-        ts1 = ts2 = np.rint(t_ps).astype(np.int64)
+        ts1 = ts2 = np.rint(t_ps, out=t_ps).astype(np.int64)
 
     # Each record is one int64 key, timestamp * 4 + channel: stamps below 2^61
-    # keep it in range, and 0 <= key < duration_ps * 4 is the window on the stamp.
+    # keep it in range, and key < duration_ps * 4 is the window on the stamp.
     chunks = [ts1[keep1] << 2 | det1[keep1], ts2[keep2] << 2 | det2[keep2]]
     for ch in STANDARD_CHANNELS:
         n_dark = int(rng.poisson(cfg.dark_rate_hz[ch] * cfg.duration_s))
@@ -252,10 +263,20 @@ def generate_tags(cfg: TagSimConfig) -> TagStream:
         chunks.append(dark_ts << 2 | ch)
 
     key = np.concatenate(chunks)
-    # One sort orders by time, then channel; equal keys are identical records.
-    key = np.sort(key[(key >= 0) & (key < duration_ps << 2)])
+    # One sort orders by time, then channel; equal keys are identical records, so any
+    # sort kind gives the same array.  Without jitter and darks the key is two runs in
+    # pair-time order, which the stable sort (timsort) merges in about linear time; on
+    # other keys the default sort is faster.
+    key.sort(kind=None if noisy else "stable")
+    # No key is negative, so the window is the sorted prefix below duration_ps * 4.
+    key = key[: np.searchsorted(key, duration_ps << 2)]
     # Sorted keys in the window give non-decreasing stamps inside it, on STANDARD_CHANNELS.
-    return TagStream._trusted((key & 3).astype(np.uint8), key >> 2, cfg.duration_s)
+    # The stamps are shifted in place, in the key's buffer: a new array per stream
+    # left more of the heap resident.
+    channels = key.astype(np.uint8)
+    channels &= 3
+    key >>= 2
+    return TagStream._trusted(channels, key, cfg.duration_s)
 
 
 def _greedy_walk(a: list[int], b: list[int], half_width: float) -> int:
@@ -318,22 +339,31 @@ def count_coincidences(stream: TagStream, window_ps: float, pairs) -> Coincidenc
 
     Greedy nearest-match pairing per channel pair (see _greedy_walk); each
     tag is consumed at most once per pair.  The stream is split once at every
-    gap wider than window/2, which no match or deferral of the walk crosses:
-    two-tag clusters are counted for all pairs at once, and only the tags of
-    larger clusters are walked.  A self pair (c, c) counts singles[c], as the
-    walk of a list against itself does.
+    gap wider than window/2, which no match or deferral of the walk crosses.
+    One link mask, set where neighbouring tags lie within window/2, gives the
+    clusters: a link with no link on either side is a two-tag cluster, counted
+    for all pairs at once, and only the tags at the ends of the other links,
+    those of larger clusters, are walked.  A self pair (c, c) counts
+    singles[c], as the walk of a list against itself does.
     """
     _check_positive("window", window_ps)
     singles = stream.singles()
     half = window_ps / 2.0
     ch, ts = stream.channels, stream.timestamps_ps
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(ts) > half) + 1, [len(ts)]))
-    sizes = np.diff(bounds)
-    two = bounds[:-1][sizes == 2]
+    # link[i]: tags i and i + 1 share a cluster; padded (n + 1 long, so that an empty
+    # stream gives empty masks) holds it at i + 1.  joined[i]: a neighbouring link.
+    padded = np.zeros(len(ts) + 1, dtype=bool)
+    link = padded[1:-1]
+    np.less_equal(np.diff(ts), half, out=link)
+    joined = padded[:-2] | padded[2:]
+    two = np.flatnonzero(link > joined)
     lo, hi = np.minimum(ch[two], ch[two + 1]), np.maximum(ch[two], ch[two + 1])
     two_tag = np.bincount(lo.astype(np.intp) * 256 + hi, minlength=256 * 256).reshape(256, 256)
-    # Walking the larger clusters' concatenation equals walking each alone.
-    big = np.repeat(sizes > 2, sizes)
+    # The tags of larger clusters are both ends of every other link; walking their
+    # concatenation equals walking each cluster alone.
+    chain = padded.copy()
+    chain[1:-1] &= joined
+    big = chain[:-1] | chain[1:]
     ch_big, ts_big = ch[big], ts[big]
     pair_counts: dict[tuple[int, int], int] = {}
     pair_acc: dict[tuple[int, int], float] = {}
@@ -373,6 +403,11 @@ class FringeEstimate:
     detection probability, then normalised over the three patterns.
     `sigmas` are the 1-sigma errors on `fractions`, and `visibility_sigma`
     the errors they propagate into the visibilities of `fits`.
+
+    `insufficient` is True when some point has no coincidence to estimate
+    from: none at all (its fractions are zero and its sigmas one), or none
+    left once the accidentals are subtracted (its corrected fractions are
+    zero).  Such a point still enters the fits.
     """
 
     phases: np.ndarray
@@ -449,6 +484,8 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
         sigmas[k] = _pattern_sigmas(n, raw[k])
         if n_corr.sum() > 0:
             corrected[k] = invert_splitter_tree(n_corr)
+        else:
+            insufficient = True
 
     raw, corrected, sigmas = (
         {lab: a[:, i] for i, lab in enumerate(labels)} for a in (raw, corrected, sigmas)

@@ -378,6 +378,32 @@ class TestGenerateTags:
         assert np.array_equal(stream.channels, channels)
         assert np.array_equal(stream.timestamps_ps, timestamps)
 
+    @pytest.mark.parametrize(
+        "gains",
+        [{}, {"detector_efficiency": (0.9, 0.8, 0.7, 0.6), "mode_transmission": (0.5, 0.8)}],
+        ids=["lossless", "lossy"],
+    )
+    def test_pairs_sharing_a_picosecond_equal_the_lexsort_rebuild(self, gains):
+        # 1e4 pairs in 1e4 ps: many picoseconds hold several pairs, so each photon's
+        # run of keys, merged by the stable sort, is out of channel order at ties.
+        cfg = config(pair_rate_hz=1e12, pattern_probs=(0.3, 0.4, 0.3), duration_s=1e-8, seed=3, **gains)
+        channels, timestamps = generate_tags_by_lexsort(cfg)
+        stream = generate_tags(cfg)
+        assert len(stream) > 5000
+        assert len(np.unique(stream.timestamps_ps)) < 0.6 * len(stream)
+        assert np.array_equal(stream.channels, channels)
+        assert np.array_equal(stream.timestamps_ps, timestamps)
+
+    def test_stamps_rounded_up_to_the_duration_are_dropped(self):
+        # Seed 2 draws 977 pairs in 1000 ps, and the last pair's stamp rounds to
+        # 1000 ps, the end of the window: the sorted prefix must leave out both clicks.
+        cfg = config(pair_rate_hz=1e12, pattern_probs=(0.3, 0.4, 0.3), duration_s=1e-9, seed=2)
+        channels, timestamps = generate_tags_by_lexsort(cfg)
+        stream = generate_tags(cfg)
+        assert len(stream) == 2 * 977 - 2
+        assert np.array_equal(stream.channels, channels)
+        assert np.array_equal(stream.timestamps_ps, timestamps)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("jitter_sigma_ps", [1e10, 1e19, 1e300])
     def test_wide_jitter_drops_stamps_before_the_int64_cast(self, jitter_sigma_ps):
@@ -467,6 +493,26 @@ class TestCountCoincidences:
         ch = np.array([c for c, _ in records], dtype=np.uint8)
         ts = np.array([t for _, t in records], dtype=np.int64)
         assert_counts_equal_greedy_walk(TagStream(ch, ts, duration_s=1.0), 100.0)
+
+    def test_two_tag_clusters_at_both_ends_next_to_chains(self):
+        # Clusters at a 100 ps window, split where a gap exceeds 50 ps: a two-tag
+        # cluster at the first tag, a chain of four (one gap exactly 50 ps), a chain of
+        # three, and a two-tag cluster at the last tag.  Either end link of the chain of
+        # three, taken for a two-tag cluster, would count one (0, 2) match too many.
+        ts = np.array([0, 10, 100, 140, 190, 230, 300, 340, 380, 460, 470], dtype=np.int64)
+        ch = np.array([0, 2, 1, 3, 0, 2, 0, 2, 0, 3, 1], dtype=np.uint8)
+        stream = TagStream(ch, ts, duration_s=1.0)
+        assert_counts_equal_greedy_walk(stream, 100.0)
+        counts = count_coincidences(stream, 100.0, [(0, 2), (1, 3)]).pair_counts
+        assert counts == {(0, 2): 3, (1, 3): 2}
+
+    def test_one_chain_stream(self):
+        # Every gap is 40 ps, so at a 100 ps window the whole stream is one cluster.
+        ts = np.arange(0, 40 * 2000, 40, dtype=np.int64)
+        ch = np.random.default_rng(8).integers(0, 4, len(ts)).astype(np.uint8)
+        stream = TagStream(ch, ts, duration_s=1.0)
+        assert_counts_equal_greedy_walk(stream, 100.0)
+        assert sum(count_pattern_coincidences(stream, 100.0).pair_counts.values()) > 500
 
     def test_window_edges(self):
         stream = TagStream(
@@ -612,6 +658,25 @@ class TestFringeFromTags:
         for fit in list(est.fits.values()) + list(est.fits_corrected.values()):
             assert all(math.isfinite(v) for v in (fit.visibility, fit.offset, fit.amplitude, fit.phase))
         assert all(math.isfinite(v) for v in est.visibility_sigma.values())
+
+    def test_point_left_with_no_corrected_count_is_flagged_insufficient(self):
+        # One (0, 2) coincidence, and 999 lone clicks on each of channels 0 and 2:
+        # the 1a1b count is 1 and its accidentals 1.0, so every corrected count is 0.
+        lone = np.arange(1, 1000, dtype=np.int64) * 1_000_000
+        ts = np.concatenate(([0, 10], lone, lone + 500_000))
+        ch = np.concatenate(([0, 2], np.zeros(999), np.full(999, 2))).astype(np.uint8)
+        order = np.argsort(ts, kind="stable")
+        stream = TagStream(ch[order], ts[order], duration_s=1e-3)
+        res = count_pattern_coincidences(stream, 1000.0)
+        assert res.pattern_counts() == {"2a0b": 0, "1a1b": 1, "0a2b": 0}
+        assert res.pattern_accidentals()["1a1b"] == 1.0
+        scans = self.scans(purity=0.9, pairs_per_point=4_000)[::4]
+        assert not fringe_from_tags(scans, window_ps=1000.0).insufficient
+        est = fringe_from_tags(scans + [(1.0, stream)], window_ps=1000.0)
+        assert est.insufficient
+        assert est.fractions["1a1b"][6] == 1.0
+        for lab in est.fractions:
+            assert est.fractions_corrected[lab][6] == 0.0
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf])
     def test_non_finite_phase_rejected(self, phase):
