@@ -62,7 +62,7 @@ DEFAULT_LOSS_BREAKDOWN_DB = MappingProxyType(
 
 
 def db_to_transmission(loss_db: float) -> float:
-    return 10.0 ** (-loss_db / 10.0)
+    return 10.0 ** (-_check_finite("loss_db", loss_db, low=0.0) / 10.0)
 
 
 @dataclass(frozen=True)

@@ -531,17 +531,34 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
 # place.  A run that mixes channel widths is built with every channel padded
 # to the widest, and a mask then drops the padding.
 #
-# The reader finds every "\n" and ",", so each field is the digits before a
-# delimiter.  Digit k, counted from the right, of every field is one gather of
-# uint8 digits; four of them are summed into a uint16, and each such group
-# adds to the uint64 value by one multiply-add.  Only the digit places past
-# the shortest field are masked by field width.
+# The reader shifts the body by -'0' (digits become 0..9, every other byte
+# wraps above 9) and appends a missing final "\n".  It reads run by run:
+# - A run is the first unread row, found with bytes.find, and every following
+#   row of its shape: its length, with "," and "\n" at its columns.  A gallop
+#   down a (rows, row length) view checks, per step, as many rows as the run
+#   holds so far at those two columns only, so a run costs O(its rows).  With
+#   them zeroed, one max over the block checks that every other byte is a digit.
+# - Each field of a run is a fixed-width column range, read by Horner's rule in
+#   uint16 over groups of four columns, then in uint64.
+# - Runs are taken while each has longer rows than the one before: a file
+#   written from channel ids below 10 is one run per stamp width, at most 19.
+# From the first row no run takes, the gather reader reads the rest in place:
+# interleaved shapes (mixed channel widths, leading zeros, unsorted rows), empty
+# lines and anything malformed.  It finds every "\n" and ",", so each field is
+# the digits before a delimiter.  Digit k, counted from the right, of every
+# field is one gather of uint8 digits; four of them are summed into a uint16,
+# and each such group adds to the uint64 value by one multiply-add.  Only the
+# digit places past the shortest field are masked by field width.  Each row a
+# run takes is one the gather reader accepts with the same values, so a body
+# gives the stream, or the refusal, that the gather reader alone gives.
 
 _CSV_HEADER = b"channel,timestamp_ps"
 _CSV_MAX_DIGITS = 19
 # 10^0 .. 10^19: the stamps of d digits are those in [10^(d-1), 10^d), and 0 has one.
 _POW10 = 10 ** np.arange(_CSV_MAX_DIGITS + 1, dtype=np.uint64)
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
+# The delimiters as the reader sees them, shifted by -'0' with uint8 wrap-around.
+_COMMA_DIGIT, _NEWLINE_DIGIT = (_COMMA - _ZERO) % 256, (_NEWLINE - _ZERO) % 256
 # Row j holds ASCII digit place j (thousands first) of every v in 0..9999.  Column v
 # holds the four digits of v; as one uint32 word they are moved by one store.
 _ASCII_DIGITS = np.arange(_ZERO, _ZERO + 10, dtype=np.uint8)
@@ -622,20 +639,14 @@ def _parse_fields(padded: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np
     return acc
 
 
-def _csv_decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    head = len(_CSV_HEADER)
-    if data[:head] != _CSV_HEADER or data[head : head + 1] not in (b"", b"\n"):
-        raise ValueError("not a tag stream CSV: missing header")
-    body = np.frombuffer(data, dtype=np.uint8, offset=min(head + 1, len(data)))
-    # Digits become 0..9; every other byte wraps to a value above 9.
-    padded = np.zeros(_CSV_MAX_DIGITS + len(body), dtype=np.uint8)
+def _csv_gather(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 channels and stamps of the rows of digits = padded[_CSV_MAX_DIGITS:],
+    which is empty or ends in a newline, each field found by its delimiter."""
     digits = padded[_CSV_MAX_DIGITS:]
-    np.subtract(body, _ZERO, out=digits)
-    newline, comma = np.flatnonzero(body == _NEWLINE), np.flatnonzero(body == _COMMA)
+    newline = np.flatnonzero(digits == _NEWLINE_DIGIT)
+    comma = np.flatnonzero(digits == _COMMA_DIGIT)
     if np.count_nonzero(digits > 9) != len(newline) + len(comma):
         raise ValueError("tag stream CSV holds a byte other than 0-9, ',' and newline")
-    if len(body) and body[-1] != _NEWLINE:
-        newline = np.append(newline, len(body))
     start = np.concatenate(([0], newline[:-1] + 1))
     rows = newline > start
     if not rows.all():
@@ -645,9 +656,93 @@ def _csv_decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     if len(comma) != len(newline):
         raise ValueError("tag stream CSV rows must have exactly two columns")
     channels = _parse_fields(padded, comma, comma - start)
-    timestamps = _parse_fields(padded, newline, newline - comma - 1)
-    # A timestamp past 2^63 - 1 wraps negative here, which TagStream refuses.
-    return channels, timestamps.astype(np.int64)
+    return channels, _parse_fields(padded, newline, newline - comma - 1)
+
+
+def _csv_run(data: bytes, base: int, digits: np.ndarray, pos: int, shorter: int):
+    """The run of rows from digits[pos] on that share the first row's shape, as a
+    (rows, row length) block and the comma's column.
+
+    digits[i] is data[base + i] - '0', ending in a newline.  None if the first row is
+    not a record of two fields of 1 to 19 digits longer than `shorter` bytes, or if the
+    block holds a non-digit byte off the comma and newline columns.
+    """
+    newline = data.find(b"\n", base + pos) - base
+    if newline < 0:
+        newline = len(digits) - 1
+    comma = data.find(b",", base + pos, base + newline) - base
+    length = newline - pos + 1
+    if length <= shorter or not (
+        1 <= comma - pos <= _CSV_MAX_DIGITS and 1 <= newline - comma - 1 <= _CSV_MAX_DIGITS
+    ):
+        return None
+    comma -= pos
+    view = digits[pos : pos + (len(digits) - pos) // length * length].reshape(-1, length)
+    # Gallop, up to the first row of another shape.
+    rows = 1
+    while rows < len(view):
+        step = view[rows : 2 * rows]
+        same = (step[:, comma] == _COMMA_DIGIT) & (step[:, -1] == _NEWLINE_DIGIT)
+        if not same.all():
+            rows += int(same.argmin())
+            break
+        rows += len(step)
+    # One max, which allocates no mask, over the contiguous block with its delimiter
+    # columns zeroed.  A block taken keeps the zeros: only the gather reader's padding,
+    # whose digits it masks, reads them again.  A refused block gets its delimiters back.
+    block = view[:rows]
+    block[:, comma] = block[:, -1] = 0
+    if block.max() > 9:
+        block[:, comma], block[:, -1] = _COMMA_DIGIT, _NEWLINE_DIGIT
+        return None
+    return block, comma
+
+
+def _parse_columns(block: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """uint64 values of the fixed-width decimal field in columns start:stop of a block
+    of digits: Horner's rule in uint16 over each group of up to four columns (at most
+    9999), then acc = acc * 10^(group width) + group."""
+    acc = np.zeros(len(block), dtype=np.uint64)
+    for lo in range(start, stop, 4):
+        hi = min(lo + 4, stop)
+        group = block[:, lo].astype(np.uint16)
+        for j in range(lo + 1, hi):
+            group *= 10
+            group += block[:, j]
+        acc *= np.uint64(10 ** (hi - lo))
+        acc += group
+    return acc
+
+
+def _csv_decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # bytes.find locates rows; bytes(data) copies only a buffer that is not bytes.
+    data = bytes(data)
+    head = len(_CSV_HEADER)
+    if data[:head] != _CSV_HEADER or data[head : head + 1] not in (b"", b"\n"):
+        raise ValueError("not a tag stream CSV: missing header")
+    base = min(head + 1, len(data))
+    body = np.frombuffer(data, dtype=np.uint8, offset=base)
+    # Digits become 0..9; every other byte wraps to a value above 9.  A missing final
+    # newline is appended, so every row ends in one.
+    missing = len(body) > 0 and data[-1] != _NEWLINE
+    padded = np.zeros(_CSV_MAX_DIGITS + len(body) + missing, dtype=np.uint8)
+    digits = padded[_CSV_MAX_DIGITS:]
+    np.subtract(body, _ZERO, out=digits[: len(body)])
+    digits[len(body) :] = _NEWLINE_DIGIT
+    channels, timestamps = [], []
+    pos = length = 0
+    while pos < len(digits) and (run := _csv_run(data, base, digits, pos, length)):
+        block, comma = run
+        length = block.shape[1]
+        channels.append(_parse_columns(block, 0, comma))
+        timestamps.append(_parse_columns(block, comma + 1, length - 1))
+        pos += block.size
+    if pos < len(digits) or not channels:
+        rest_channels, rest_timestamps = _csv_gather(padded[pos:])
+        channels.append(rest_channels)
+        timestamps.append(rest_timestamps)
+    # A timestamp past 2^63 - 1 reads negative here, which TagStream refuses.
+    return np.concatenate(channels), np.concatenate(timestamps).view(np.int64)
 
 
 def tags_to_bytes(stream: TagStream, fmt: str = "binary") -> bytes:
@@ -680,6 +775,9 @@ def _covering_duration(last_ps: int) -> float:
 
 
 def tags_from_bytes(data: bytes, fmt: str = "binary", duration_s: float | None = None) -> TagStream:
+    """Decode a stream file.  A CSV file holds no duration: duration_s gives it, or else
+    it is the shortest whose window holds the last stamp (1 s with no records).  A binary
+    file's header holds it, and a duration_s that differs from the header's is refused."""
     if fmt == "binary":
         if data[:8] != _BINARY_MAGIC:
             raise ValueError("not a tag stream: bad magic header")
@@ -687,6 +785,8 @@ def tags_from_bytes(data: bytes, fmt: str = "binary", duration_s: float | None =
         if header is None or len(data) < header.size:
             raise ValueError("truncated tag stream header")
         _, duration, _, *channel_ids, n_rec = header.unpack_from(data)
+        if duration_s is not None and duration_s != duration:
+            raise ValueError(f"duration {duration_s!r} s differs from the header's {duration!r} s")
         if len(data) != header.size + _BINARY_RECORD.itemsize * n_rec:
             raise ValueError(f"tag stream length {len(data)} B does not match its {n_rec} records")
         records = np.frombuffer(data, dtype=_BINARY_RECORD, count=n_rec, offset=header.size)

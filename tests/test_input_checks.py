@@ -71,6 +71,7 @@ PROBES = [
     ("power_to_phase", lambda x: circuit.power_to_phase(CAL, x), 0.5, -1.0),
     ("mzi_unitary.theta", lambda x: circuit.mzi_unitary(x), 0.5, None),
     ("LossSpec entry", lambda x: detection.LossSpec({"grating_coupler": x}), 0.5, -1.0),
+    ("db_to_transmission", lambda x: detection.db_to_transmission(x), 0.5, -5.0),
     ("apply_loss.eta_a", lambda x: detection.apply_loss(RHO, x, 1.0), 0.5, 1.5),
     ("apply_loss.eta_b", lambda x: detection.apply_loss(RHO, 1.0, x), 0.5, -0.5),
     *[

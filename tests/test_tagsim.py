@@ -1,11 +1,13 @@
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noonchip import tagsim
 from noonchip.circuit import mzi_unitary
 from noonchip.detection import SPLITTER_TREE_DETECTION, pattern_probs
 from noonchip.fock import evolve
@@ -956,6 +958,8 @@ READER_REFUSALS = [
                  "duration must be a finite number", id="bin-nan-duration"),
     pytest.param("binary", binary_blob([(0, 5)], 0.0), None, "duration must be > 0",
                  id="bin-zero-duration"),
+    pytest.param("binary", binary_blob([(0, 5)], 1e-9), 5.0,
+                 r"duration 5.0 s differs from the header's 1e-09 s", id="bin-duration"),
     pytest.param("csv", b"channel,timestamp", None, "missing header", id="csv-head"),
     pytest.param("csv", b"channel,timestamp_ps,\n0,5\n", None, "missing header",
                  id="csv-header-column"),
@@ -977,6 +981,132 @@ READER_REFUSALS = [
 def test_reader_refusals_keep_their_messages(fmt, data, duration_s, message):
     with pytest.raises(ValueError, match=message):
         tags_from_bytes(data, fmt, duration_s)
+
+
+def test_binary_reader_refuses_a_duration_other_than_its_header(tmp_path):
+    stream = TagStream(np.array([0, 1]), np.array([5, 7]), 1e-9)
+    path = tmp_path / "run.tags"
+    write_tags(stream, path, fmt="binary")
+    data = path.read_bytes()
+    for duration_s in (None, 1e-9):
+        assert same_stream(tags_from_bytes(data, "binary", duration_s), stream)
+        assert same_stream(read_tags(path, duration_s=duration_s), stream)
+    for duration_s in (5.0, 2e-9, math.nan):
+        with pytest.raises(ValueError, match="differs from the header's 1e-09 s"):
+            tags_from_bytes(data, "binary", duration_s)
+        with pytest.raises(ValueError, match="differs from the header's 1e-09 s"):
+            read_tags(path, duration_s=duration_s)
+
+
+def read_by_gather(data):
+    """tags_from_bytes with the run reader switched off, so the gather reader reads the
+    whole body: the oracle for the run reader."""
+    with mock.patch.object(tagsim, "_csv_run", lambda *args: None):
+        return tags_from_bytes(data, fmt="csv")
+
+
+def csv_outcome(read, data):
+    """The stream `read` decodes from data, or the message of the ValueError it raises."""
+    try:
+        return read(data)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+# Ways to change one row of a body of runs ("none" keeps it), each giving a row of
+# another shape or a malformed one.  "/" and ":" are the bytes next to "0" and "9".
+CSV_ROW_CHANGES = (
+    "none", "shorter", "two-digit channel", "leading zero", "empty line in a run",
+    "empty line between runs", "stray byte", "missing comma", "no final newline",
+    "19-digit stamp", "stamp of 2^63",
+)
+STRAY_BYTES = " +-/:;,\n\r\x00\xff"
+
+
+@st.composite
+def csv_run_bodies(draw):
+    """CSV bodies of 3 to 6 runs of 1 to 300 sorted rows, one stamp width per run with
+    the widths rising, channels 0..9, then one row changed by a CSV_ROW_CHANGES entry."""
+    widths = sorted(draw(st.sets(st.integers(1, 19), min_size=3, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, starts = [], []
+    for d in widths:
+        n = draw(st.integers(1, 300))
+        stamps = np.sort(rng.integers(0 if d == 1 else 10 ** (d - 1), min(10**d, 2**63), n))
+        starts.append(len(rows))
+        rows += [f"{c},{t}" for c, t in zip(rng.integers(0, 10, n).tolist(), stamps.tolist())]
+    change = draw(st.sampled_from(CSV_ROW_CHANGES))
+    i = draw(st.integers(0, len(rows) - 1))
+    channel, stamp = rows[i].split(",")
+    if change == "shorter":
+        rows[i] = f"{channel},{stamp[1:]}"
+    elif change == "two-digit channel":
+        rows[i] = f"1{channel},{stamp}"
+    elif change == "leading zero":
+        rows[i] = draw(st.sampled_from([f"0{channel},{stamp}", f"{channel},0{stamp}"]))
+    elif change == "empty line in a run":
+        rows.insert(i, "")
+    elif change == "empty line between runs":
+        rows.insert(draw(st.sampled_from(starts[1:])), "")
+    elif change == "stray byte":
+        k = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i] = rows[i][:k] + draw(st.sampled_from(STRAY_BYTES)) + rows[i][k + 1 :]
+    elif change == "missing comma":
+        rows[i] = channel + stamp
+    elif change == "19-digit stamp":
+        rows[i] = f"{channel},{10**18 + i}"
+    elif change == "stamp of 2^63":
+        rows[i] = f"{channel},{2**63}"
+    body = "\n".join(rows) + ("" if change == "no final newline" else "\n")
+    return body.encode("latin-1")
+
+
+class TestCsvRunReader:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_run_bodies())
+    def test_equals_the_gather_reader_and_the_loop(self, body):
+        data = f"{CSV_HEADER}\n".encode() + body
+        got = csv_outcome(lambda d: tags_from_bytes(d, fmt="csv"), data)
+        want = csv_outcome(read_by_gather, data)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert same_stream(got, want)
+        # int() takes spaces, signs, "\r" and fields past 19 digits (see csv_decode_loop),
+        # which both readers refuse.
+        fields = body.replace(b",", b"\n").split(b"\n")
+        if set(body) <= set(b"0123456789,\n") and max(map(len, fields)) <= 19:
+            assert_csv_reader_agrees_with_loop(data)
+
+    def test_writer_files_are_read_by_runs_alone(self, monkeypatch):
+        stream = generate_tags(config(seed=41, dark_rate_hz=2e3, jitter_sigma_ps=30.0))
+        data = tags_to_bytes(stream, fmt="csv")
+        gathered = []
+        gather = tagsim._csv_gather
+        monkeypatch.setattr(
+            tagsim, "_csv_gather", lambda *args: gathered.append(args) or gather(*args)
+        )
+        assert same_stream(tags_from_bytes(data, fmt="csv", duration_s=1.0), stream)
+        assert gathered == []
+
+    @pytest.mark.parametrize("buffer", [bytes, bytearray, memoryview])
+    def test_reads_any_bytes_like_buffer(self, buffer):
+        data = csv_blob("0,5", "1,7", "12,9")
+        assert same_stream(tags_from_bytes(buffer(data), fmt="csv"), csv_decode_loop(data))
+
+    def test_hands_off_after_the_first_row_that_is_not_longer(self, monkeypatch):
+        # Channels alternate 5 and 12, so row lengths alternate: rows 0 and 1 are runs of
+        # one row, and row 2, shorter than row 1, starts what the gather reader reads.
+        n = 20_000
+        stamps = np.sort(np.random.default_rng(5).integers(10**9, 10**10, n))
+        channels = np.where(np.arange(n) % 2, 12, 5)
+        data = csv_blob(*(f"{c},{t}" for c, t in zip(channels.tolist(), stamps.tolist())))
+        runs = []
+        run = tagsim._csv_run
+        monkeypatch.setattr(tagsim, "_csv_run", lambda *args: runs.append(run(*args)) or runs[-1])
+        assert same_stream(tags_from_bytes(data, fmt="csv"), csv_decode_loop(data))
+        assert len(runs) == 3
+        assert [len(r[0]) for r in runs[:2]] == [1, 1] and runs[2] is None
 
 
 class TestTrustedStreams:
