@@ -30,7 +30,6 @@ __all__ = [
     "Loss",
     "CircuitSpec",
     "ThermoOpticCalibration",
-    "coupler_unitary",
     "mzi_unitary",
     "compose",
     "power_to_phase",
@@ -132,11 +131,6 @@ class ThermoOpticCalibration:
         _check_finite("rad_per_mw", self.rad_per_mw)
         if self.rad_per_mw == 0.0:
             raise ValueError("rad_per_mw must be nonzero")
-
-
-def coupler_unitary(mixing: float = math.pi / 4) -> ModeUnitary:
-    """[[cos k, i sin k], [i sin k, cos k]]; mixing pi/4 is the 50:50 case."""
-    return compose(CircuitSpec(2, (Coupler(0, 1, mixing),)))[0]
 
 
 def mzi_unitary(theta: float, mixing: float = math.pi / 4) -> ModeUnitary:

@@ -16,19 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, _check_finite, _check_positive, _sectors, enumerate_basis
+from .fock import DensityMatrix, _check_finite, _check_positive, _sectors
 
 __all__ = [
-    "TWO_PHOTON_BASIS",
     "SpectrumSpec",
     "SourceRateSpec",
     "noon_mixed",
     "spectral_overlap",
     "pair_rate",
 ]
-
-# Two modes, two photons: ((2, 0), (1, 1), (0, 2)).
-TWO_PHOTON_BASIS = tuple(enumerate_basis(2, 2))
 
 SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 

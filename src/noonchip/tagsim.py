@@ -1,10 +1,14 @@
 """Monte Carlo detector time-tag streams and windowed coincidence counting.
 
+A stream's channels are the four detectors of the splitter tree,
+STANDARD_CHANNELS: 0 and 1 on output arm a, 2 and 3 on arm b.  The TagStream
+constructor and both readers refuse any other channel with ValueError, so
+counting and the codecs work on that fixed alphabet.
+
 Pairs are emitted as a homogeneous Poisson process, routed to the four
-detectors (channels 0,1 on output arm a; 2,3 on arm b) by sampling the
-pattern and splitter-tree outcomes, thinned by per-mode transmission and
-per-detector efficiency, jittered, and merged with per-channel Poisson dark
-counts.  Timestamps are integer picoseconds.
+detectors by sampling the pattern and splitter-tree outcomes, thinned by
+per-mode transmission and per-detector efficiency, jittered, and merged with
+per-channel Poisson dark counts.  Timestamps are integer picoseconds.
 
 Each record is sorted as one int64 key, timestamp * 4 + channel.  Pair times
 are drawn sorted, so with zero jitter and every dark rate zero the key is two
@@ -61,8 +65,6 @@ __all__ = [
     "FringeEstimate",
     "fringe_from_tags",
     "STANDARD_PAIRS",
-    "write_tags",
-    "read_tags",
     "tags_to_bytes",
     "tags_from_bytes",
 ]
@@ -70,24 +72,18 @@ __all__ = [
 STANDARD_CHANNELS = (0, 1, 2, 3)
 # Every detector pair that signals a two-photon pattern.
 STANDARD_PAIRS = tuple(pair for p in DETECTION_PATTERNS for pair in p.detector_pairs)
+_OUTSIDE_DETECTORS = "channels must lie in 0..3, the four detectors"
 
 _BINARY_MAGIC = b"NOONTAG1"
+# Magic, f64 duration_s, u8 channel count (4), the u8 channel ids 0..3, u64 record count.
+_BINARY_HEADER = struct.Struct("<8sdB4BQ")
 _BINARY_RECORD = np.dtype([("ch", "u1"), ("ts", "<u8")])
 
 
-def _binary_header(n_channels: int) -> struct.Struct:
-    return struct.Struct(f"<8sdB{n_channels}BQ")
-
-
-def _as_uint8(name: str, values) -> np.ndarray:
-    raw = np.asarray(values)
-    # Check the range before the cast can wrap, then that the cast kept every value.
-    if not np.all((raw >= 0) & (raw <= 255)):
-        raise ValueError(f"{name} must lie in 0..255")
-    out = raw.astype(np.uint8, copy=False)
-    if raw.dtype.kind == "b" or not np.array_equal(out, raw):
-        raise ValueError(f"{name} must be integers")
-    return out
+def _check_detectors(channels: np.ndarray) -> None:
+    """Refuse decoded channels, unsigned integers, that are not detectors 0..3."""
+    if len(channels) and channels.max() > 3:
+        raise ValueError(_OUTSIDE_DETECTORS)
 
 
 def _check_stamps(ts: np.ndarray, duration_s) -> None:
@@ -104,34 +100,32 @@ def _check_stamps(ts: np.ndarray, duration_s) -> None:
         raise ValueError(f"timestamp {int(ts[-1])} ps lies past the {round(end_ps)} ps window")
 
 
-def _check_registered(ch: np.ndarray, ids: tuple[int, ...]) -> None:
-    """Refuse repeated channel ids, and uint8 channels that are not among them."""
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"channel ids must be distinct, got {ids}")
-    unregistered = set(np.flatnonzero(np.bincount(ch, minlength=256)).tolist()) - set(ids)
-    if unregistered:
-        raise ValueError(f"records reference unregistered channels {sorted(unregistered)}")
-
-
 @dataclass(frozen=True)
 class TagStream:
     """Time-ordered detector click records over a fixed acquisition window.
 
-    Every stamp lies in [0, round(duration_s * 1e12)) ps, the window that
-    generate_tags keeps.  The constructor checks every field; generate_tags
-    and the readers, whose records are valid by construction or checked as
-    they are decoded, build the stream through ``_trusted``.
+    Each record is a uint8 channel, one of the four detectors in
+    STANDARD_CHANNELS, and an int64 stamp in [0, round(duration_s * 1e12)) ps,
+    the window that generate_tags keeps.  The constructor checks every field;
+    generate_tags and the readers, whose records are valid by construction or
+    checked as they are decoded, build the stream through ``_trusted``.
     """
 
     channels: np.ndarray
     timestamps_ps: np.ndarray
     duration_s: float
-    channel_ids: tuple[int, ...] = STANDARD_CHANNELS
 
     def __post_init__(self):
-        ch = _as_uint8("channels", self.channels)
-        ids = [_check_index("channel id", c) for c in self.channel_ids]
-        ids = tuple(_as_uint8("channel ids", ids).tolist())
+        raw = np.asarray(self.channels)
+        # A cast would read bool, string and object channels as numbers, so the dtype is
+        # checked first; then the range, before the cast can wrap; then that it kept each value.
+        if raw.dtype.kind not in "iuf":
+            raise ValueError(f"channels must be integers, got dtype {raw.dtype}")
+        if not np.all((raw >= 0) & (raw <= 3)):
+            raise ValueError(_OUTSIDE_DETECTORS)
+        ch = raw.astype(np.uint8, copy=False)
+        if not np.array_equal(ch, raw):
+            raise ValueError("channels must be integers")
         raw = np.asarray(self.timestamps_ps)
         # A cast would read bool, string and object stamps as numbers, and truncate floats.
         if raw.dtype.kind not in "iuf":
@@ -142,20 +136,15 @@ class TagStream:
         if ch.shape != ts.shape or ch.ndim != 1:
             raise ValueError("channels and timestamps must be 1-d arrays of equal length")
         _check_stamps(ts, self.duration_s)
-        _check_registered(ch, ids)
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "timestamps_ps", ts)
-        object.__setattr__(self, "channel_ids", ids)
 
     @classmethod
-    def _trusted(cls, channels, timestamps_ps, duration_s, channel_ids=STANDARD_CHANNELS):
-        """A stream with no checks: uint8 channels, int64 stamps, distinct int channel ids."""
+    def _trusted(cls, channels, timestamps_ps, duration_s):
+        """A stream with no checks: uint8 channels in 0..3 and int64 stamps."""
         stream = object.__new__(cls)
         stream.__dict__.update(
-            channels=channels,
-            timestamps_ps=timestamps_ps,
-            duration_s=duration_s,
-            channel_ids=channel_ids,
+            channels=channels, timestamps_ps=timestamps_ps, duration_s=duration_s
         )
         return stream
 
@@ -163,8 +152,7 @@ class TagStream:
         return len(self.timestamps_ps)
 
     def singles(self) -> dict[int, int]:
-        counts = np.bincount(self.channels, minlength=256)
-        return {c: int(counts[c]) for c in self.channel_ids}
+        return dict(zip(STANDARD_CHANNELS, np.bincount(self.channels, minlength=4).tolist()))
 
 
 @dataclass(frozen=True)
@@ -358,7 +346,7 @@ def count_coincidences(stream: TagStream, window_ps: float, pairs) -> Coincidenc
     joined = padded[:-2] | padded[2:]
     two = np.flatnonzero(link > joined)
     lo, hi = np.minimum(ch[two], ch[two + 1]), np.maximum(ch[two], ch[two + 1])
-    two_tag = np.bincount(lo.astype(np.intp) * 256 + hi, minlength=256 * 256).reshape(256, 256)
+    two_tag = np.bincount(lo * 4 + hi, minlength=16).reshape(4, 4)
     # The tags of larger clusters are both ends of every other link; walking their
     # concatenation equals walking each cluster alone.
     chain = padded.copy()
@@ -369,8 +357,7 @@ def count_coincidences(stream: TagStream, window_ps: float, pairs) -> Coincidenc
     pair_acc: dict[tuple[int, int], float] = {}
     for c1, c2 in pairs:
         for c in (c1, c2):
-            _check_index("channel id", c)
-            if c not in stream.channel_ids:
+            if _check_index("channel id", c) not in STANDARD_CHANNELS:
                 raise ValueError(f"unknown channel id {c}")
         key = (int(c1), int(c2))
         if c1 == c2:
@@ -509,13 +496,15 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
 
 # --- stream file formats ---------------------------------------------------
 #
-# Binary: magic "NOONTAG1", then little-endian f64 duration_s, u8 channel
-# count, that many u8 channel ids, u64 record count (one struct,
-# `_binary_header`), and exactly that many 9-byte records of (u8 channel,
-# u64 timestamp_ps).
+# Every record's channel is one of the four detectors, 0..3; each reader refuses
+# any other channel with ValueError, as the TagStream constructor does.
 #
-# CSV: ASCII, no duration/channel metadata; readers may pass the duration
-# explicitly, and register STANDARD_CHANNELS plus every channel they see.
+# Binary: magic "NOONTAG1", then little-endian f64 duration_s, u8 channel
+# count 4, the u8 channel ids 0, 1, 2, 3, u64 record count (one struct,
+# `_BINARY_HEADER`), and exactly that many 9-byte records of (u8 channel,
+# u64 timestamp_ps).  The reader refuses a header that lists other ids.
+#
+# CSV: ASCII, no duration metadata; readers may pass the duration explicitly.
 # - The first line is exactly "channel,timestamp_ps".
 # - Each record line is [0-9]{1,19},[0-9]{1,19} ending in "\n"; the final
 #   "\n" may be missing.  Timestamps are at most 2^63 - 1.
@@ -524,12 +513,11 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
 #
 # The writer relies on TagStream's non-decreasing stamps: the records whose
 # stamps have d digits are one contiguous run, so there are at most 19 runs.
-# Each run is one (records, row length) uint8 block of the output, filled
-# column by column: channel digits, ",", stamp digits, "\n".  Digits go four
+# Each run is one (records, d + 3) uint8 block of the output, filled column by
+# column: the channel's one digit, ",", stamp digits, "\n".  Stamp digits go four
 # at a time, as one uint32 word gathered from a 10^4-entry table after one
 # division by 10^4; the one to three leading digits are gathered place by
-# place.  A run that mixes channel widths is built with every channel padded
-# to the widest, and a mask then drops the padding.
+# place.
 #
 # The reader shifts the body by -'0' (digits become 0..9, every other byte
 # wraps above 9) and appends a missing final "\n".  It reads run by run:
@@ -540,17 +528,18 @@ def fringe_from_tags(scans, window_ps: float, frequency: float = 2.0) -> FringeE
 #   them zeroed, one max over the block checks that every other byte is a digit.
 # - Each field of a run is a fixed-width column range, read by Horner's rule in
 #   uint16 over groups of four columns, then in uint64.
-# - Runs are taken while each has longer rows than the one before: a file
-#   written from channel ids below 10 is one run per stamp width, at most 19.
+# - Runs are taken while each has longer rows than the one before: a file the
+#   writer wrote is one run per stamp width, at most 19.
 # From the first row no run takes, the gather reader reads the rest in place:
-# interleaved shapes (mixed channel widths, leading zeros, unsorted rows), empty
-# lines and anything malformed.  It finds every "\n" and ",", so each field is
-# the digits before a delimiter.  Digit k, counted from the right, of every
-# field is one gather of uint8 digits; four of them are summed into a uint16,
-# and each such group adds to the uint64 value by one multiply-add.  Only the
-# digit places past the shortest field are masked by field width.  Each row a
-# run takes is one the gather reader accepts with the same values, so a body
-# gives the stream, or the refusal, that the gather reader alone gives.
+# interleaved shapes (leading zeros, channels past one digit, unsorted rows),
+# empty lines and anything malformed.  It finds every "\n" and ",", so each
+# field is the digits before a delimiter.  Digit k, counted from the right, of
+# every field is one gather into column longest - 1 - k of a (fields, longest)
+# block, so each field lies right-aligned on zeros; only the digit places past
+# the shortest field are masked by field width.  The block is then read as
+# fixed-width columns, as a run is.  Each row a run takes is one the gather
+# reader accepts with the same values, so a body gives the stream, or the
+# refusal, that the gather reader alone gives.
 
 _CSV_HEADER = b"channel,timestamp_ps"
 _CSV_MAX_DIGITS = 19
@@ -586,36 +575,24 @@ def _csv_encode(stream: TagStream) -> bytes:
     edges = np.searchsorted(ts.view(np.uint64), _POW10)
     edges[0] = 0
     runs = np.diff(edges)
-    # A row "<ch>,<ts>\n" has 3 bytes, one more for each of ch >= 10 and ch >= 100,
-    # and the stamp's digits.
-    size = 3 * len(ts) + np.count_nonzero(ch >= 10) + np.count_nonzero(ch >= 100)
-    out = np.empty(head + size + int(runs @ np.arange(1, 20)), dtype=np.uint8)
+    # A row "<channel digit>,<stamp>\n" has 3 bytes and the stamp's digits.
+    out = np.empty(head + 3 * len(ts) + int(runs @ np.arange(1, 20)), dtype=np.uint8)
     out[:head] = np.frombuffer(_CSV_HEADER + b"\n", dtype=np.uint8)
     pos = head
     for d in np.flatnonzero(runs) + 1:
         lo, hi = edges[d - 1], edges[d]
-        c = ch[lo:hi]
-        narrow, wide = (1 + (x >= 10) + (x >= 100) for x in (c.min(), c.max()))
-        k, row = hi - lo, wide + d + 2
-        # A run of one channel width is written in place.  A mixed run is built with every
-        # channel padded to the widest, then a mask drops the padding.
-        mixed = narrow != wide
-        block = np.empty((k, row), np.uint8) if mixed else out[pos : pos + k * row].reshape(k, row)
-        _put_digits(block, 0, wide, c)
-        block[:, wide] = _COMMA
-        _put_digits(block, wide + 1, wide + 1 + d, ts[lo:hi])
+        block = out[pos : pos + (hi - lo) * (d + 3)].reshape(hi - lo, d + 3)
+        np.add(ch[lo:hi], _ZERO, out=block[:, 0])
+        block[:, 1] = _COMMA
+        _put_digits(block, 2, d + 2, ts[lo:hi])
         block[:, -1] = _NEWLINE
-        if mixed:
-            keep = np.ones((k, row), dtype=bool)
-            keep[:, : wide - 1] = c[:, None] >= _POW10[wide - 1 : 0 : -1]
-            block = block[keep]
-            out[pos : pos + block.size] = block
         pos += block.size
     return out.tobytes()
 
 
-def _parse_fields(padded: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """uint64 values of the decimal fields digits[stop - width:stop].
+def _right_aligned(padded: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The decimal fields digits[stop - width:stop] as a (fields, longest width) block,
+    each right-aligned with the places past its width zeroed.
 
     digits is padded[_CSV_MAX_DIGITS:]; the padding lets digit k of every field,
     counted from the right, be gathered from one shifted view with no index arithmetic.
@@ -623,20 +600,14 @@ def _parse_fields(padded: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np
     if len(width) and (width.min() < 1 or width.max() > _CSV_MAX_DIGITS):
         raise ValueError(f"CSV fields must have 1 to {_CSV_MAX_DIGITS} digits")
     shortest, longest = int(width.min(initial=_CSV_MAX_DIGITS)), int(width.max(initial=0))
-    last, width = stop - 1, width.astype(np.uint8)
-    acc = np.zeros(len(stop), dtype=np.uint64)
-    # Four digits at a time, most significant group first: each group is summed in
-    # uint16 (at most 9999), then acc = acc * 10^4 + group.
-    for top in range((longest - 1) // 4 * 4, -1, -4):
-        group = np.zeros(len(stop), dtype=np.uint16)
-        for k in range(top, min(top + 4, longest)):
-            d = np.take(padded[_CSV_MAX_DIGITS - k :], last)
-            if k >= shortest:
-                d *= width > k
-            group += d * np.uint16(10 ** (k - top))
-        acc *= np.uint64(10_000)
-        acc += group
-    return acc
+    # Built place by place as contiguous rows, and returned transposed.
+    places = np.empty((longest, len(stop)), dtype=np.uint8)
+    for k in range(longest):
+        place = places[longest - 1 - k]
+        np.take(padded[_CSV_MAX_DIGITS - k :], stop - 1, out=place)
+        if k >= shortest:
+            place *= width > k
+    return places.T
 
 
 def _csv_gather(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -651,12 +622,13 @@ def _csv_gather(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = newline > start
     if not rows.all():
         start, newline = start[rows], newline[rows]
-    # As many commas as rows; _parse_fields then refuses an empty field, so
+    # As many commas as rows; _right_aligned then refuses an empty field, so
     # every comma lies inside its own row.
     if len(comma) != len(newline):
         raise ValueError("tag stream CSV rows must have exactly two columns")
-    channels = _parse_fields(padded, comma, comma - start)
-    return channels, _parse_fields(padded, newline, newline - comma - 1)
+    channels = _right_aligned(padded, comma, comma - start)
+    stamps = _right_aligned(padded, newline, newline - comma - 1)
+    return tuple(_parse_columns(block, 0, block.shape[1]) for block in (channels, stamps))
 
 
 def _csv_run(data: bytes, base: int, digits: np.ndarray, pos: int, shorter: int):
@@ -747,12 +719,8 @@ def _csv_decode(data: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 def tags_to_bytes(stream: TagStream, fmt: str = "binary") -> bytes:
     if fmt == "binary":
-        ids = stream.channel_ids
-        if len(ids) > 255:
-            raise ValueError("the binary format holds at most 255 channel ids")
-        header = _binary_header(len(ids)).pack(
-            _BINARY_MAGIC, stream.duration_s, len(ids), *ids, len(stream)
-        )
+        ids = STANDARD_CHANNELS
+        header = _BINARY_HEADER.pack(_BINARY_MAGIC, stream.duration_s, len(ids), *ids, len(stream))
         records = np.empty(len(stream), dtype=_BINARY_RECORD)
         records["ch"] = stream.channels
         records["ts"] = stream.timestamps_ps.astype(np.uint64)
@@ -781,41 +749,27 @@ def tags_from_bytes(data: bytes, fmt: str = "binary", duration_s: float | None =
     if fmt == "binary":
         if data[:8] != _BINARY_MAGIC:
             raise ValueError("not a tag stream: bad magic header")
-        header = _binary_header(data[16]) if len(data) > 16 else None
-        if header is None or len(data) < header.size:
+        if len(data) < _BINARY_HEADER.size:
             raise ValueError("truncated tag stream header")
-        _, duration, _, *channel_ids, n_rec = header.unpack_from(data)
+        _, duration, *listed, n_rec = _BINARY_HEADER.unpack_from(data)
+        if tuple(listed) != (len(STANDARD_CHANNELS), *STANDARD_CHANNELS):
+            raise ValueError("tag stream header must list the channel ids 0, 1, 2, 3")
         if duration_s is not None and duration_s != duration:
             raise ValueError(f"duration {duration_s!r} s differs from the header's {duration!r} s")
-        if len(data) != header.size + _BINARY_RECORD.itemsize * n_rec:
+        if len(data) != _BINARY_HEADER.size + _BINARY_RECORD.itemsize * n_rec:
             raise ValueError(f"tag stream length {len(data)} B does not match its {n_rec} records")
-        records = np.frombuffer(data, dtype=_BINARY_RECORD, count=n_rec, offset=header.size)
-        # The header's ids and the records' channels are u8, and the stamps int64 here.
+        records = np.frombuffer(data, dtype=_BINARY_RECORD, count=n_rec, offset=_BINARY_HEADER.size)
+        # The records' channels are u8, and the stamps int64 here.
         channels, timestamps = records["ch"].copy(), records["ts"].astype(np.int64)
         _check_stamps(timestamps, duration)
-        _check_registered(channels, tuple(channel_ids))
-        return TagStream._trusted(channels, timestamps, duration, tuple(channel_ids))
+        _check_detectors(channels)
+        return TagStream._trusted(channels, timestamps, duration)
     if fmt == "csv":
         channels, timestamps = _csv_decode(data)
         if duration_s is None:
             duration_s = _covering_duration(int(timestamps.max())) if len(timestamps) else 1.0
-        # A bincount over an unchecked channel could ask for an enormous array.
-        channels = _as_uint8("channels", channels)
+        # Checked before the cast, which would wrap a channel past uint8 onto a detector.
+        _check_detectors(channels)
         _check_stamps(timestamps, duration_s)
-        seen = np.flatnonzero(np.bincount(channels, minlength=256)).tolist()
-        ids = tuple(sorted(set(STANDARD_CHANNELS) | set(seen)))
-        return TagStream._trusted(channels, timestamps, duration_s, ids)
+        return TagStream._trusted(channels.astype(np.uint8), timestamps, duration_s)
     raise ValueError(f"unknown tag stream format {fmt!r}")
-
-
-def write_tags(stream: TagStream, path, fmt: str = "binary") -> None:
-    with open(path, "wb") as fh:
-        fh.write(tags_to_bytes(stream, fmt))
-
-
-def read_tags(path, fmt: str | None = None, duration_s: float | None = None) -> TagStream:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if fmt is None:
-        fmt = "binary" if data[:8] == _BINARY_MAGIC else "csv"
-    return tags_from_bytes(data, fmt, duration_s)

@@ -17,7 +17,6 @@ from noonchip.circuit import (
     circuit_from_json,
     circuit_to_json,
     compose,
-    coupler_unitary,
     mzi_circuit,
     mzi_unitary,
     power_to_phase,
@@ -82,6 +81,11 @@ def netlists(draw):
     return CircuitSpec(m, tuple(draw(st.lists(st.one_of(kinds), max_size=12))))
 
 
+def coupler_unitary(*mixing):
+    """The 2x2 matrix of one Coupler(0, 1), composed as a netlist."""
+    return compose(CircuitSpec(2, (Coupler(0, 1, *mixing),)))[0].matrix
+
+
 class TestElements:
     def test_phase_shifter_values(self):
         def phase_shifter_unitary(theta):
@@ -92,12 +96,12 @@ class TestElements:
         assert np.allclose(phase_shifter_unitary(math.pi / 2), np.diag([1, 1j]), atol=1e-15)
 
     def test_coupler_default_is_balanced(self):
-        u = coupler_unitary().matrix
+        u = coupler_unitary()
         assert np.allclose(np.abs(u) ** 2, 0.25 * np.ones((2, 2)) * 2, atol=1e-15)
 
     def test_coupler_limits(self):
-        assert np.allclose(coupler_unitary(0.0).matrix, np.eye(2))
-        cross = coupler_unitary(math.pi / 2).matrix
+        assert np.allclose(coupler_unitary(0.0), np.eye(2))
+        cross = coupler_unitary(math.pi / 2)
         assert np.allclose(cross, np.array([[0, 1j], [1j, 0]]), atol=1e-15)
 
     def test_coupler_rejects_same_mode(self):

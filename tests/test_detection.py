@@ -27,7 +27,10 @@ from noonchip.fock import (
     evolve,
     lift_unitary,
 )
-from noonchip.sources import TWO_PHOTON_BASIS, noon_mixed
+from noonchip.sources import noon_mixed
+
+# Two modes, two photons: ((2, 0), (1, 1), (0, 2)).
+TWO_PHOTON_BASIS = tuple(enumerate_basis(2, 2))
 
 PHI = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
 

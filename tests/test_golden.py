@@ -175,7 +175,7 @@ def mismatches(got, want, where="") -> list[str]:
     if isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             return [f"{where}: {got!r} != {want!r}"]
-        return [m for i, (g, w) in enumerate(zip(got, want)) for m in mismatches(g, w, f"{where}[{i}]")]
+        return [m for i, g in enumerate(got) for m in mismatches(g, want[i], f"{where}[{i}]")]
     if isinstance(want, float) and not isinstance(got, bool) and isinstance(got, (int, float)):
         if got == want or abs(got - want) <= TOLERANCE:
             return []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 
-from noonchip.circuit import coupler_unitary
+from noonchip.circuit import CircuitSpec, Coupler, compose
 from noonchip.detection import pattern_probs
 from noonchip.fock import evolve
 from noonchip.hom import HomScanSpec, bandwidth_from_dip, dip_fwhm, hom_coincidence
@@ -206,5 +206,6 @@ class TestFockConsistency:
         p = spectral_overlap(s1, s2)
         spec = HomScanSpec(spectrum=s1, baseline_visibility=p)
         rho = noon_mixed(0.5, math.pi / 2, p)
-        fock_side = pattern_probs(evolve(rho, coupler_unitary()))[1]
+        coupler, _ = compose(CircuitSpec(2, (Coupler(0, 1),)))
+        fock_side = pattern_probs(evolve(rho, coupler))[1]
         assert hom_coincidence(0.0, spec) == pytest.approx(fock_side, abs=1e-9)

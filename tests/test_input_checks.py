@@ -110,6 +110,7 @@ PROBES = [
     ("TagSimConfig.dark_rate_hz", lambda x: tag_config(dark_rate_hz=(0, 0, 0, x)), 0.5, -1.0),
     ("TagSimConfig.dark_rate_hz scalar", lambda x: tag_config(dark_rate_hz=x), 0.5, -1.0),
     ("TagStream.duration_s", lambda x: tagsim.TagStream(np.array([0]), np.array([0]), x), 0.5, 0.0),
+    ("TagStream.channels", lambda x: tagsim.TagStream(np.array([x]), np.array([0]), 1.0), 3, 4),
     (
         "count_coincidences.window_ps",
         lambda x: tagsim.count_coincidences(STREAM, x, [(0, 2)]),
@@ -155,7 +156,7 @@ FORMER_ESCAPES = [
     ("TagStream string timestamp", lambda: tagsim.TagStream(np.array([0]), np.array(["5"]), 1.0)),
     (
         "TagStream bool channel id",
-        lambda: tagsim.TagStream(np.array([0]), np.array([0]), 1.0, channel_ids=(0, True)),
+        lambda: tagsim.TagStream(np.array([False, True]), np.array([0, 0]), 1.0),
     ),
     ("hom_coincidence('1')", lambda: hom.hom_coincidence("1", hom.HomScanSpec())),
     ("hom_coincidence(True)", lambda: hom.hom_coincidence(True, hom.HomScanSpec())),
@@ -165,11 +166,36 @@ FORMER_ESCAPES = [
     ("sector_weight(2.5)", lambda: RHO.sector_weight(2.5)),
 ]
 
+
+def binary_with_last_channel(channel):
+    """STREAM's binary file with its last record's channel byte replaced."""
+    data = tagsim.tags_to_bytes(STREAM, "binary")
+    return data[:-9] + bytes([channel]) + data[-8:]
+
+
+# A channel is one of the four detectors, 0..3, wherever a stream enters: the constructor
+# and both readers.  The binary record's one byte cannot hold the 19-digit channel.
+OUTSIDE_CHANNELS = [4, 255, 10**19 - 1]
+CHANNEL_ENTRIES = [
+    ("TagStream", lambda c: tagsim.TagStream(np.array([0, c]), [0, 1], 1.0), OUTSIDE_CHANNELS),
+    ("csv", lambda c: tagsim.tags_from_bytes(CSV + b"%d,7\n" % c, "csv"), OUTSIDE_CHANNELS),
+    (
+        "binary",
+        lambda c: tagsim.tags_from_bytes(binary_with_last_channel(c), "binary"),
+        OUTSIDE_CHANNELS[:2],
+    ),
+]
+CHANNEL_PROBES = [
+    (f"{entry} channel {c}", lambda call=call, c=c: call(c))
+    for entry, call, outside in CHANNEL_ENTRIES
+    for c in outside
+]
+
 CASES = [
     pytest.param(lambda call=call, x=x: call(x), id=f"{name}={x!r}")
     for name, call, _, out_of_range in PROBES
     for x in BAD_VALUES + ([] if out_of_range is None else [out_of_range])
-] + [pytest.param(probe, id=name) for name, probe in FORMER_ESCAPES]
+] + [pytest.param(probe, id=name) for name, probe in FORMER_ESCAPES + CHANNEL_PROBES]
 
 
 @pytest.mark.parametrize("probe", CASES)
@@ -182,6 +208,12 @@ def test_bad_number_raises_value_error(probe):
 def test_probe_accepts_its_valid_number(call, valid):
     # So that each bad value above is what raises, not the rest of the call.
     call(valid)
+
+
+@pytest.mark.parametrize("call", [pytest.param(call, id=entry) for entry, call, _ in CHANNEL_ENTRIES])
+def test_channel_probe_accepts_detector_3(call):
+    # So that each channel above is what raises.
+    assert len(call(3)) == 2
 
 
 @pytest.mark.parametrize("state", [RHO, RHO3], ids=["2 modes", "3 modes"])

@@ -10,6 +10,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "noonchip"
+PERFBENCH = ROOT / "perfbench"
+
+# Public names that nothing in src/ or perfbench/ reads yet, each with the reason it stays.
+UNREAD_PUBLIC_NAMES = {
+    "circuit.circuit_to_json": "ROADMAP item 4's run report writes its config's netlist",
+    "circuit.circuit_from_json": "item 4 reads a report's netlist back to rerun its config",
+    "detection.LossSpec": "item 4's brightness round trip passes the pair rate through it",
+    "detection.loss_budget": "item 4 recovers the configured brightness with it",
+    "sources.pair_rate": "item 4 turns brightness and pump power into the pair rate",
+    "fock.enumerate_sectors": "the multi-sector basis that DensityMatrix requires after loss",
+}
 
 
 def project_table() -> dict:
@@ -89,8 +100,8 @@ def test_only_fock_checks_scalars_with_math_isfinite():
     assert offenders == []
 
 
-def private_definitions(tree: ast.Module):
-    """(name, node) for each private name (``_x``, not dunder) a module defines at top level."""
+def module_definitions(tree: ast.Module):
+    """(name, node) for each name a module defines at top level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -100,8 +111,14 @@ def private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
+
+
+def private_definitions(tree: ast.Module):
+    """(name, node) for each private name (``_x``, not dunder) a module defines at top level."""
+    for name, node in module_definitions(tree):
+        if name.startswith("_") and not name.startswith("__"):
+            yield name, node
 
 
 def name_reads(tree: ast.AST):
@@ -113,6 +130,11 @@ def name_reads(tree: ast.AST):
             yield node.attr, node
 
 
+def read_outside(name: str, definition: ast.AST | None, reads) -> bool:
+    inside = {id(node) for node in ast.walk(definition)} if definition else set()
+    return any(read == name and id(node) not in inside for read, node in reads)
+
+
 def test_every_private_module_name_is_used_in_the_package():
     # Delete what nothing uses: a module-level _name must be read somewhere in src/ other
     # than inside its own definition.
@@ -122,7 +144,26 @@ def test_every_private_module_name_is_used_in_the_package():
     unused = []
     for path, tree in zip(paths, trees):
         for name, definition in private_definitions(tree):
-            inside = {id(node) for node in ast.walk(definition)}
-            if not any(read == name and id(node) not in inside for read, node in reads):
+            if not read_outside(name, definition, reads):
                 unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_every_public_name_is_read_in_the_package_or_the_benchmark():
+    # Delete what nothing uses: a name in a module's __all__ must be read somewhere in src/
+    # or perfbench/ other than inside its own definition, or be listed with its reason.
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    readers = list(trees.values()) + [
+        ast.parse(path.read_text(), filename=str(path)) for path in sorted(PERFBENCH.glob("*.py"))
+    ]
+    reads = [(name, node) for tree in readers for name, node in name_reads(tree)]
+    unread = []
+    for path, tree in trees.items():
+        module = "noonchip" if path.stem == "__init__" else f"noonchip.{path.stem}"
+        definitions = dict(module_definitions(tree))
+        for name in importlib.import_module(module).__all__:
+            if not read_outside(name, definitions.get(name), reads):
+                unread.append(f"{path.stem}.{name}")
+    # A listed name that gains a reader leaves the list.
+    assert sorted(unread) == sorted(UNREAD_PUBLIC_NAMES)

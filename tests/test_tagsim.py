@@ -23,10 +23,8 @@ from noonchip.tagsim import (
     count_pattern_coincidences,
     fringe_from_tags,
     generate_tags,
-    read_tags,
     tags_from_bytes,
     tags_to_bytes,
-    write_tags,
 )
 
 IDEAL_SPLIT = (0.0, 1.0, 0.0)
@@ -75,8 +73,7 @@ def csv_decode_loop(data, duration_s=None):
     timestamps = np.array(ts, dtype=np.int64)
     if duration_s is None:
         duration_s = covering_duration(max(ts)) if ts else 1.0
-    ids = tuple(sorted(set(STANDARD_CHANNELS) | set(ch)))
-    return TagStream(channels, timestamps, duration_s, ids)
+    return TagStream(channels, timestamps, duration_s)
 
 
 def covering_duration(last_ps):
@@ -93,16 +90,16 @@ def same_stream(a, b):
         np.array_equal(a.channels, b.channels)
         and np.array_equal(a.timestamps_ps, b.timestamps_ps)
         and a.timestamps_ps.dtype == b.timestamps_ps.dtype
-        and (a.duration_s, a.channel_ids) == (b.duration_s, b.channel_ids)
+        and a.duration_s == b.duration_s
     )
 
 
 # Records of decimal fields of 1 to 19 digits, leading zeros included; the
-# channel is kept to 0..255 so that many bodies are valid streams.
+# channel is often one of the four detectors, so that many bodies are valid streams.
 _CSV_RECORD = st.builds(
     "{}{},{}".format,
     st.integers(0, 16).map("0".__mul__),
-    st.integers(0, 255),
+    st.integers(0, 3) | st.integers(0, 255),
     st.text("0123456789", min_size=1, max_size=19),
 )
 # Zero to three fields, possibly empty: an empty line, a wrong or the right column count.
@@ -689,54 +686,40 @@ class TestFringeFromTags:
             fringe_from_tags(scans, window_ps=100.0)
 
 
-# Channel ranges cycled over the stamp-width runs: each single width, and each mix.
-_CHANNEL_RANGES = [(0, 9), (10, 99), (100, 255), (0, 255), (0, 99), (10, 255)]
-
-
 @pytest.fixture
 def large_stream(request):
-    """A seeded stream of more than 50 k records that exercises every CSV writer path.
+    """A seeded stream of 57 k records that exercises every CSV writer run.
 
     "all_widths": a run of 3000 records for each stamp width of 1 to 19 digits,
-    with 0, 10^k - 1, 10^k and 2^63 - 1 among the stamps.  The runs' channels
-    cycle through _CHANNEL_RANGES, so runs of one channel width and runs of
-    mixed 1-, 2- and 3-digit ids both occur.  "sixteen_channels": ids 0-15 at
-    random, stamps in [0, 10^12).
+    with 0, 10^k - 1, 10^k and 2^63 - 1 among the stamps, on channels 0..3 at
+    random.
     """
+    assert request.param == "all_widths"
     rng = np.random.default_rng(20240412)
-    if request.param == "sixteen_channels":
-        n = 60_000
-        timestamps = np.sort(rng.integers(0, 10**12, n))
-        return TagStream(rng.integers(0, 16, n), timestamps, 1.0, tuple(range(16)))
     channels, timestamps = [], []
     for d in range(1, 20):
         low, high = (0 if d == 1 else 10 ** (d - 1)), min(10**d, 2**63)
         run = rng.integers(low, high, 3000, endpoint=False)
         run[:2] = (low, high - 1)
         timestamps.append(np.sort(run))
-        channels.append(rng.integers(*_CHANNEL_RANGES[d % 6], 3000, endpoint=True))
-    return TagStream(np.concatenate(channels), np.concatenate(timestamps), 1e7, tuple(range(256)))
+        channels.append(rng.integers(0, 4, 3000))
+    return TagStream(np.concatenate(channels), np.concatenate(timestamps), 1e7)
 
 
 class TestStreamIO:
-    def test_binary_round_trip(self, tmp_path):
+    def test_binary_round_trip(self):
         stream = generate_tags(config(jitter_sigma_ps=30.0, seed=17))
-        path = tmp_path / "run.tags"
-        write_tags(stream, path, fmt="binary")
-        back = read_tags(path)
+        back = tags_from_bytes(tags_to_bytes(stream, fmt="binary"), fmt="binary")
         assert np.array_equal(back.channels, stream.channels)
         assert np.array_equal(back.timestamps_ps, stream.timestamps_ps)
         assert back.duration_s == stream.duration_s
-        assert back.channel_ids == stream.channel_ids
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_round_trip(self):
         stream = generate_tags(config(seed=23))
-        path = tmp_path / "run.csv"
-        write_tags(stream, path, fmt="csv")
-        back = read_tags(path, fmt="csv", duration_s=1.0)
+        data = tags_to_bytes(stream, fmt="csv")
+        back = tags_from_bytes(data, fmt="csv", duration_s=1.0)
         assert np.array_equal(back.channels, stream.channels)
         assert np.array_equal(back.timestamps_ps, stream.timestamps_ps)
-        data = path.read_bytes()
         assert data == csv_encode_loop(stream)
         assert same_stream(tags_from_bytes(data, fmt="csv"), csv_decode_loop(data))
 
@@ -754,9 +737,8 @@ class TestStreamIO:
             np.array([0, 3, 1], dtype=np.uint8),
             np.array([5, 7, 2**40], dtype=np.int64),
             duration_s=2.5,
-            channel_ids=(0, 1, 3),
         )
-        want = b"NOONTAG1" + struct.pack("<d", 2.5) + struct.pack("<B", 3) + bytes([0, 1, 3])
+        want = b"NOONTAG1" + struct.pack("<d", 2.5) + struct.pack("<B", 4) + bytes([0, 1, 2, 3])
         want += struct.pack("<Q", 3)
         want += b"".join(struct.pack("<BQ", c, t) for c, t in [(0, 5), (3, 7), (1, 2**40)])
         assert tags_to_bytes(stream, fmt="binary") == want
@@ -774,7 +756,7 @@ class TestStreamIO:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        st.lists(st.tuples(st.integers(0, 254), st.integers(0, 2**62)), max_size=20),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**62)), max_size=20),
         st.floats(1e-12, 1e6),
     )
     def test_binary_round_trips_any_stream(self, records, duration_s):
@@ -784,16 +766,9 @@ class TestStreamIO:
         # Stretch the drawn duration until its window holds every stamp.
         if records:
             duration_s = max(duration_s, covering_duration(records[-1][1]))
-        stream = TagStream(channels, timestamps, duration_s, tuple(range(255)))
+        stream = TagStream(channels, timestamps, duration_s)
         back = tags_from_bytes(tags_to_bytes(stream, fmt="binary"), fmt="binary")
-        assert np.array_equal(back.channels, stream.channels)
-        assert np.array_equal(back.timestamps_ps, stream.timestamps_ps)
-        assert (back.duration_s, back.channel_ids) == (stream.duration_s, stream.channel_ids)
-
-    def test_more_channel_ids_than_the_header_holds(self):
-        stream = TagStream(np.array([0]), np.array([0]), 1.0, channel_ids=tuple(range(256)))
-        with pytest.raises(ValueError):
-            tags_to_bytes(stream, fmt="binary")
+        assert same_stream(back, stream)
 
     def test_csv_channel_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -801,14 +776,9 @@ class TestStreamIO:
 
     @pytest.mark.parametrize("channel", [b"256", b"9999999999999999999"])
     def test_csv_channel_past_uint8_rejected_before_registration(self, channel):
-        # Registering a 19-digit channel by bincount would ask for ~10^19 counters.
-        with pytest.raises(ValueError):
+        # Checked before the uint8 cast, which would wrap 256 onto detector 0.
+        with pytest.raises(ValueError, match="0..3"):
             tags_from_bytes(b"channel,timestamp_ps\n0,1\n" + channel + b",5\n", fmt="csv")
-
-    def test_csv_registers_channel_255(self):
-        stream = tags_from_bytes(b"channel,timestamp_ps\n255,5\n", fmt="csv")
-        assert stream.channel_ids == STANDARD_CHANNELS + (255,)
-        assert stream.singles()[255] == 1
 
     def test_csv_round_trip_keeps_silent_detectors_countable(self):
         # Only detectors 0 and 2 clicked; the reader must still know 1 and 3.
@@ -820,14 +790,13 @@ class TestStreamIO:
         got = count_pattern_coincidences(back, 100.0)
         assert want.pattern_counts()["1a1b"] == 2
         assert got.pair_counts == want.pair_counts
-        assert got.singles == want.singles
-        assert back.channel_ids == STANDARD_CHANNELS
+        assert got.singles == want.singles == {0: 2, 1: 0, 2: 2, 3: 0}
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
             st.tuples(
-                st.integers(0, 255),
+                st.integers(0, 3),
                 st.one_of(
                     st.integers(0, 2**63 - 1),
                     st.integers(1, 18).map(lambda k: 10**k),
@@ -844,7 +813,6 @@ class TestStreamIO:
             np.array([c for c, _ in records], dtype=np.uint8),
             np.array([t for _, t in records], dtype=np.int64),
             1e7,
-            tuple(range(256)),
         )
         data = tags_to_bytes(stream, fmt="csv")
         assert data == csv_encode_loop(stream)
@@ -852,7 +820,7 @@ class TestStreamIO:
         assert np.array_equal(back.channels, stream.channels)
         assert np.array_equal(back.timestamps_ps, stream.timestamps_ps)
 
-    @pytest.mark.parametrize("large_stream", ["all_widths", "sixteen_channels"], indirect=True)
+    @pytest.mark.parametrize("large_stream", ["all_widths"], indirect=True)
     def test_csv_codec_equals_the_loops_on_a_large_stream(self, large_stream):
         data = tags_to_bytes(large_stream, fmt="csv")
         assert data == csv_encode_loop(large_stream)
@@ -915,14 +883,6 @@ class TestStreamIO:
         with pytest.raises(ValueError):
             tags_from_bytes(data, fmt="csv")
 
-    def test_format_autodetect(self, tmp_path):
-        stream = generate_tags(config(seed=37))
-        p1 = tmp_path / "a.tags"
-        p2 = tmp_path / "a.csv"
-        write_tags(stream, p1, "binary")
-        write_tags(stream, p2, "csv")
-        assert np.array_equal(read_tags(p1).channels, read_tags(p2, duration_s=1.0).channels)
-
 
 def binary_blob(records, duration_s=1.0, ids=STANDARD_CHANNELS):
     """A binary stream file holding the given (channel, stamp) records."""
@@ -936,7 +896,11 @@ def csv_blob(*rows):
     return ("channel,timestamp_ps\n" + "".join(f"{row}\n" for row in rows)).encode()
 
 
-# Each reader refusal with the message it has always given.
+OUTSIDE = "channels must lie in 0..3"
+IDS = "header must list the channel ids 0, 1, 2, 3"
+
+# Each reader refusal with its message.  A channel is one of the four detectors, and
+# a binary header lists exactly their ids 0, 1, 2, 3.
 READER_REFUSALS = [
     pytest.param("binary", b"NOTATAG1" + bytes(32), None, "bad magic header", id="bin-magic"),
     pytest.param("binary", binary_blob([])[:20], None, "truncated tag stream header",
@@ -945,9 +909,15 @@ READER_REFUSALS = [
                  id="bin-short"),
     pytest.param("binary", binary_blob([(0, 5)]) + b"\0", None, "does not match its 1 records",
                  id="bin-long"),
-    pytest.param("binary", binary_blob([(0, 5), (7, 6)]), None,
-                 r"unregistered channels \[7\]", id="bin-unregistered"),
-    pytest.param("binary", binary_blob([(0, 5)], ids=(0, 1, 0)), None, "distinct", id="bin-ids"),
+    pytest.param("binary", binary_blob([(0, 5), (7, 6)]), None, OUTSIDE, id="bin-unregistered"),
+    pytest.param("binary", binary_blob([(0, 5), (4, 6)]), None, OUTSIDE, id="bin-channel-4"),
+    pytest.param("binary", binary_blob([(0, 5), (255, 6)]), None, OUTSIDE, id="bin-channel-255"),
+    pytest.param("binary", binary_blob([(0, 5)], ids=(0, 1, 0)), None, IDS, id="bin-ids"),
+    pytest.param("binary", binary_blob([(0, 5)], ids=(0, 1, 3, 2)), None, IDS,
+                 id="bin-ids-order"),
+    pytest.param("binary", binary_blob([(0, 5)], ids=(0, 1, 2, 3, 4)), None, IDS,
+                 id="bin-ids-five"),
+    pytest.param("binary", binary_blob([], ids=tuple(range(16))), None, IDS, id="bin-ids-16"),
     pytest.param("binary", binary_blob([(0, 9), (1, 5)]), None, "non-decreasing",
                  id="bin-decreasing"),
     pytest.param("binary", binary_blob([(0, 5), (1, 1000)], 1e-9), None,
@@ -966,8 +936,11 @@ READER_REFUSALS = [
     pytest.param("csv", csv_blob("0,5x"), None, "a byte other than 0-9", id="csv-byte"),
     pytest.param("csv", csv_blob("0,5,6"), None, "exactly two columns", id="csv-columns"),
     pytest.param("csv", csv_blob("0," + "1" * 20), None, "1 to 19 digits", id="csv-digits"),
-    pytest.param("csv", csv_blob("0,5", "300,6"), None, "channels must lie in 0..255",
-                 id="csv-channel"),
+    pytest.param("csv", csv_blob("0,5", "300,6"), None, OUTSIDE, id="csv-channel"),
+    pytest.param("csv", csv_blob("0,5", "4,6"), None, OUTSIDE, id="csv-channel-4"),
+    pytest.param("csv", csv_blob("0,5", "255,6"), None, OUTSIDE, id="csv-channel-255"),
+    pytest.param("csv", csv_blob("0,5", f"{10**19 - 1},6"), None, OUTSIDE,
+                 id="csv-channel-19-digits"),
     pytest.param("csv", csv_blob("0,9", "1,5"), None, "non-decreasing", id="csv-decreasing"),
     pytest.param("csv", csv_blob("0,5", "1,1000"), 1e-9,
                  "timestamp 1000 ps lies past the 1000 ps window", id="csv-window"),
@@ -983,19 +956,14 @@ def test_reader_refusals_keep_their_messages(fmt, data, duration_s, message):
         tags_from_bytes(data, fmt, duration_s)
 
 
-def test_binary_reader_refuses_a_duration_other_than_its_header(tmp_path):
+def test_binary_reader_refuses_a_duration_other_than_its_header():
     stream = TagStream(np.array([0, 1]), np.array([5, 7]), 1e-9)
-    path = tmp_path / "run.tags"
-    write_tags(stream, path, fmt="binary")
-    data = path.read_bytes()
+    data = tags_to_bytes(stream, fmt="binary")
     for duration_s in (None, 1e-9):
         assert same_stream(tags_from_bytes(data, "binary", duration_s), stream)
-        assert same_stream(read_tags(path, duration_s=duration_s), stream)
     for duration_s in (5.0, 2e-9, math.nan):
         with pytest.raises(ValueError, match="differs from the header's 1e-09 s"):
             tags_from_bytes(data, "binary", duration_s)
-        with pytest.raises(ValueError, match="differs from the header's 1e-09 s"):
-            read_tags(path, duration_s=duration_s)
 
 
 def read_by_gather(data):
@@ -1026,7 +994,7 @@ STRAY_BYTES = " +-/:;,\n\r\x00\xff"
 @st.composite
 def csv_run_bodies(draw):
     """CSV bodies of 3 to 6 runs of 1 to 300 sorted rows, one stamp width per run with
-    the widths rising, channels 0..9, then one row changed by a CSV_ROW_CHANGES entry."""
+    the widths rising, channels 0..3, then one row changed by a CSV_ROW_CHANGES entry."""
     widths = sorted(draw(st.sets(st.integers(1, 19), min_size=3, max_size=6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows, starts = [], []
@@ -1034,7 +1002,7 @@ def csv_run_bodies(draw):
         n = draw(st.integers(1, 300))
         stamps = np.sort(rng.integers(0 if d == 1 else 10 ** (d - 1), min(10**d, 2**63), n))
         starts.append(len(rows))
-        rows += [f"{c},{t}" for c, t in zip(rng.integers(0, 10, n).tolist(), stamps.tolist())]
+        rows += [f"{c},{t}" for c, t in zip(rng.integers(0, 4, n).tolist(), stamps.tolist())]
     change = draw(st.sampled_from(CSV_ROW_CHANGES))
     i = draw(st.integers(0, len(rows) - 1))
     channel, stamp = rows[i].split(",")
@@ -1091,15 +1059,15 @@ class TestCsvRunReader:
 
     @pytest.mark.parametrize("buffer", [bytes, bytearray, memoryview])
     def test_reads_any_bytes_like_buffer(self, buffer):
-        data = csv_blob("0,5", "1,7", "12,9")
+        data = csv_blob("0,5", "1,7", "03,9")
         assert same_stream(tags_from_bytes(buffer(data), fmt="csv"), csv_decode_loop(data))
 
     def test_hands_off_after_the_first_row_that_is_not_longer(self, monkeypatch):
-        # Channels alternate 5 and 12, so row lengths alternate: rows 0 and 1 are runs of
-        # one row, and row 2, shorter than row 1, starts what the gather reader reads.
+        # Channels alternate "1" and "01", so row lengths alternate: rows 0 and 1 are runs
+        # of one row, and row 2, shorter than row 1, starts what the gather reader reads.
         n = 20_000
         stamps = np.sort(np.random.default_rng(5).integers(10**9, 10**10, n))
-        channels = np.where(np.arange(n) % 2, 12, 5)
+        channels = np.where(np.arange(n) % 2, "01", "1")
         data = csv_blob(*(f"{c},{t}" for c, t in zip(channels.tolist(), stamps.tolist())))
         runs = []
         run = tagsim._csv_run
@@ -1117,7 +1085,6 @@ class TestTrustedStreams:
     @given(tag_sim_configs())
     def test_public_constructor_accepts_every_trusted_stream(self, cfg):
         stream = generate_tags(cfg)
-        assert stream.channel_ids == STANDARD_CHANNELS
         binary, text = tags_to_bytes(stream, "binary"), tags_to_bytes(stream, "csv")
         streams = [
             stream,
@@ -1127,8 +1094,7 @@ class TestTrustedStreams:
         ]
         for s in streams:
             assert s.channels.dtype == np.uint8 and s.timestamps_ps.dtype == np.int64
-            assert all(type(c) is int for c in s.channel_ids)
-            rebuilt = TagStream(s.channels, s.timestamps_ps, s.duration_s, s.channel_ids)
+            rebuilt = TagStream(s.channels, s.timestamps_ps, s.duration_s)
             assert same_stream(rebuilt, s)
         assert all(same_stream(s, stream) for s in streams[1:3])
 
@@ -1143,32 +1109,33 @@ class TestStreamValidation:
             )
 
     def test_channel_beyond_uint8_rejected(self):
-        # 300 would wrap to the registered 44 in a uint8 cast.
+        # 258 would wrap to detector 2, and -1 to 255, in a uint8 cast.
         with pytest.raises(ValueError):
-            TagStream(np.array([300]), np.array([0]), 1.0, channel_ids=(44,))
+            TagStream(np.array([258]), np.array([0]), 1.0)
         with pytest.raises(ValueError):
-            TagStream(np.array([-1]), np.array([0]), 1.0, channel_ids=(255,))
+            TagStream(np.array([-1]), np.array([0]), 1.0)
 
     @pytest.mark.parametrize("bad_id", [300, -1, 1.5, math.nan])
     def test_channel_id_not_a_uint8_integer_rejected(self, bad_id):
         with pytest.raises(ValueError):
-            TagStream(np.array([0]), np.array([0]), 1.0, channel_ids=(0, bad_id))
+            TagStream(np.array([0, bad_id]), np.array([0, 0]), 1.0)
 
     @pytest.mark.parametrize("ids", [(0, 0, 1), (0, 1, 2, 3, 2), (np.uint8(7), 7)])
     def test_duplicate_channel_ids_rejected(self, ids):
-        # singles() would silently collapse them, and the binary header would keep them.
-        with pytest.raises(ValueError, match="distinct"):
-            TagStream(np.array([0]), np.array([0]), 1.0, channel_ids=ids)
+        # A header that lists any ids but 0, 1, 2, 3 is refused, repeated ones among them.
+        with pytest.raises(ValueError, match="0, 1, 2, 3"):
+            tags_from_bytes(binary_blob([(0, 5)], ids=ids), fmt="binary")
 
     def test_binary_header_with_duplicate_channel_ids_rejected(self):
-        data = tags_to_bytes(TagStream(np.array([0]), np.array([5]), 1.0, (0, 1)), fmt="binary")
-        # The ids (0, 1) follow the magic, the f64 duration and the u8 id count.
-        with pytest.raises(ValueError, match="distinct"):
-            tags_from_bytes(data[:17] + bytes([0, 0]) + data[19:], fmt="binary")
+        data = tags_to_bytes(TagStream(np.array([0]), np.array([5]), 1.0), fmt="binary")
+        # The ids (0, 1, 2, 3) follow the magic, the f64 duration and the u8 id count.
+        assert data[16:21] == bytes([4, 0, 1, 2, 3])
+        with pytest.raises(ValueError, match="0, 1, 2, 3"):
+            tags_from_bytes(data[:17] + bytes([0, 0, 2, 3]) + data[21:], fmt="binary")
 
     @pytest.mark.parametrize("channel", [0.5, math.nan, -1.0, 300.0])
     def test_non_integer_channel_rejected(self, channel):
-        # Float channels outside 0..255 must be caught before the cast, which would warn.
+        # Float channels outside 0..3 are refused before the cast, which warns past 0..255.
         with pytest.raises(ValueError):
             TagStream(np.array([channel]), np.array([0]), 1.0)
 
@@ -1184,12 +1151,6 @@ class TestStreamValidation:
                 np.array([100], dtype=np.int64),
                 duration_s=1.0,
             )
-
-    def test_every_unregistered_channel_is_named(self):
-        with pytest.raises(ValueError, match=r"\[1, 255\]"):
-            TagStream(np.array([0, 255, 1, 0]), np.arange(4), 1.0, channel_ids=(0,))
-        stream = TagStream(np.array([0, 255]), np.arange(2), 1.0, channel_ids=(0, 255))
-        assert stream.singles() == {0: 1, 255: 1}
 
     @pytest.mark.parametrize("stamps", [np.array([b"5"]), np.array([5], dtype=object), [2**64]])
     def test_bytes_or_object_timestamps_rejected(self, stamps):
@@ -1256,8 +1217,6 @@ class TestStreamValidation:
             TagStream(flags, np.array([0, 1]), 1.0)
         with pytest.raises(ValueError):
             TagStream(np.array([0, 1]), flags, 1.0)
-        with pytest.raises(ValueError):
-            TagStream(np.array([0, 1]), np.array([0, 1]), 1.0, channel_ids=(False, True))
 
     def test_wrapped_u64_timestamp_rejected(self):
         # A stored 2^63 ps wraps to -2^63 in the reader's int64 cast.
